@@ -9,32 +9,31 @@ open Cmdliner
 
 let run file list_out run_it fuel =
   let src = In_channel.with_open_text file In_channel.input_all in
-  match Dts_asm.Assembler.assemble src with
-  | exception Dts_asm.Assembler.Error { line; msg } ->
-    Printf.eprintf "%s:%d: %s\n" file line msg;
-    exit 1
-  | program ->
-    Printf.printf "entry: %#x, %d instructions, %d data sections\n"
-      program.entry
-      (Array.length program.text)
-      (List.length program.data);
-    if list_out then
-      Array.iter
-        (fun (addr, instr) ->
-          Printf.printf "%#08x  %08x  %s\n" addr
-            (Dts_isa.Encode.encode ~pc:addr instr)
-            (Dts_isa.Disasm.to_string instr))
-        program.text;
-    if run_it then begin
-      let st = Dts_asm.Program.boot program in
-      let g = Dts_golden.Golden.of_state st in
-      let n = Dts_golden.Golden.run ~max_instructions:fuel g in
-      Printf.printf "ran %d instructions; halted=%b; pc=%#x\n" n st.halted st.pc;
-      for r = 8 to 15 do
-        Printf.printf "  %s = %d\n" (Dts_isa.Disasm.reg_name r)
-          (Dts_isa.State.get_reg st ~cwp:st.cwp r)
-      done
-    end
+  let program =
+    Dts_job.Cli.with_program_errors ~file (fun () ->
+        Dts_asm.Assembler.assemble src)
+  in
+  Printf.printf "entry: %#x, %d instructions, %d data sections\n"
+    program.entry
+    (Array.length program.text)
+    (List.length program.data);
+  if list_out then
+    Array.iter
+      (fun (addr, instr) ->
+        Printf.printf "%#08x  %08x  %s\n" addr
+          (Dts_isa.Encode.encode ~pc:addr instr)
+          (Dts_isa.Disasm.to_string instr))
+      program.text;
+  if run_it then begin
+    let st = Dts_asm.Program.boot program in
+    let g = Dts_golden.Golden.of_state st in
+    let n = Dts_golden.Golden.run ~max_instructions:fuel g in
+    Printf.printf "ran %d instructions; halted=%b; pc=%#x\n" n st.halted st.pc;
+    for r = 8 to 15 do
+      Printf.printf "  %s = %d\n" (Dts_isa.Disasm.reg_name r)
+        (Dts_isa.State.get_reg st ~cwp:st.cwp r)
+    done
+  end
 
 let file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.s" ~doc:"Assembly source")

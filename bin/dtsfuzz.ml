@@ -16,9 +16,8 @@
    verdicts, for any --jobs value. Exit status: 0 all programs agreed,
    1 at least one divergence, 2 junk flag values.
 
-   A campaign is a Dts_job.Job fuzz batch evaluated through Dts_job.Run —
-   the same path the dtsvliw_serve campaign daemon shards across worker
-   processes, so CLI and server output are byte-identical. *)
+   A campaign is a Dts_job.Job fuzz batch evaluated through
+   Dts_job.Run. *)
 
 open Cmdliner
 open Dts_job
@@ -43,16 +42,14 @@ let run_replay ~geoms files =
     files;
   if !failed then Cli.task_failure else Cli.ok
 
-let run_campaign ~seed ~count ~max_insns ~config ~jobs ~backend ~out
-    ~no_shrink =
+let run_campaign ~seed ~count ~max_insns ~config ~jobs ~out ~no_shrink =
   let job =
     Job.fuzz_batch ~max_insns ~config ~shrink:(not no_shrink) ~out_dir:out
       ~seed ~count ()
   in
   Cli.check (Job.validate job);
   let outcome =
-    Dts_parallel.Pool.with_pool ~backend ~jobs (fun pool ->
-        Run.run ~pool job)
+    Dts_parallel.Pool.with_pool ~jobs (fun pool -> Run.run ~pool job)
   in
   print_string outcome.Run.text;
   outcome.Run.exit_code
@@ -63,13 +60,11 @@ let corpus_files dir =
   |> List.sort compare
   |> List.map (Filename.concat dir)
 
-let main seed count max_insns config jobs backend replay replay_dir out
-    no_shrink =
+let main seed count max_insns config jobs replay replay_dir out no_shrink =
   Cli.check_positive ~what:"--count" count;
   Cli.check_positive ~what:"--max-insns" max_insns;
   Cli.check_non_negative ~what:"--jobs" jobs;
   let geoms = Cli.geoms_of_config config in
-  let backend = Cli.backend_of_flag backend in
   let replay =
     replay @ List.concat_map corpus_files (Option.to_list replay_dir)
   in
@@ -77,7 +72,7 @@ let main seed count max_insns config jobs backend replay replay_dir out
   else
     run_campaign ~seed ~count ~max_insns ~config
       ~jobs:(Dts_parallel.Pool.resolve_jobs jobs)
-      ~backend ~out ~no_shrink
+      ~out ~no_shrink
 
 let count_t =
   Arg.(
@@ -126,6 +121,6 @@ let cmd =
     Term.(
       const main $ Cli.seed_arg $ count_t $ max_insns_t $ Cli.config_arg
       $ Cli.jobs_arg ~doc:jobs_doc ()
-      $ Cli.backend_arg $ replay_t $ replay_dir_t $ out_t $ no_shrink_t)
+      $ replay_t $ replay_dir_t $ out_t $ no_shrink_t)
 
 let () = exit (Cmd.eval' cmd)

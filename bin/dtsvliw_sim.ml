@@ -15,15 +15,14 @@
    workers, with the reports printed in the order given.
 
    The CLI is a thin flag -> Dts_job.Job.t adapter: the simulation and the
-   report text live in Dts_job.Run, shared byte-for-byte with the
-   dtsvliw_serve campaign daemon. *)
+   report text live in Dts_job.Run. A malformed program file, or flags
+   that cannot apply together, exit 2 with a one-line message. *)
 
 open Cmdliner
 open Dts_job
 
 let usage_one_source () =
-  prerr_endline "specify exactly one of --workload NAME or a program file";
-  exit 1
+  Cli.die "specify exactly one of --workload NAME or a program file"
 
 let write_stats_json path outcome =
   match (path, outcome.Run.stats_json) with
@@ -47,9 +46,9 @@ let run_single ~job ~optcheck ~trace_file ~trace_limit ~stats_json =
 
 (* Several workloads: simulate concurrently on the pool, print the reports
    sequentially in the order the workloads were given. *)
-let run_many ~job_of ~optcheck ~workloads ~jobs ~backend =
+let run_many ~job_of ~optcheck ~workloads ~jobs =
   let outcomes =
-    Dts_parallel.Pool.with_pool ~backend ~jobs (fun pool ->
+    Dts_parallel.Pool.with_pool ~jobs (fun pool ->
         Dts_parallel.Pool.map pool
           (fun name -> Run.run ~optcheck (job_of (Job.Builtin name)))
           workloads)
@@ -62,7 +61,7 @@ let run_many ~job_of ~optcheck ~workloads ~jobs ~backend =
     (List.combine workloads outcomes);
   if List.exists (fun o -> o.Run.exit_code <> 0) outcomes then exit 1
 
-let run workloads file scale budget jobs backend feasible dif no_compile
+let run workloads file scale budget jobs feasible dif no_compile
     no_fastpath width height vcache_kb vcache_assoc no_renaming store_list
     predict_next multicycle show_blocks optcheck trace_file trace_limit
     stats_json =
@@ -71,7 +70,6 @@ let run workloads file scale budget jobs backend feasible dif no_compile
   Cli.check_non_negative ~what:"--jobs" jobs;
   Cli.check_non_negative ~what:"--dump-blocks" show_blocks;
   Cli.check_non_negative ~what:"--trace-limit" trace_limit;
-  let backend = Cli.backend_of_flag backend in
   let machine =
     {
       Machine_opts.feasible;
@@ -93,29 +91,25 @@ let run workloads file scale budget jobs backend feasible dif no_compile
     Cli.check (Job.validate job);
     job
   in
-  if optcheck && dif then begin
-    prerr_endline "--optcheck applies to DTSVLIW machines only (not --dif)";
-    exit 1
-  end;
+  if optcheck && dif then
+    Cli.die "--optcheck applies to DTSVLIW machines only (not --dif)";
   match (workloads, file) with
   | [], None | [ _ ], Some _ -> usage_one_source ()
   | [ w ], None ->
     run_single ~job:(job_of (Job.Builtin w)) ~optcheck ~trace_file ~trace_limit
       ~stats_json
   | [], Some path ->
-    run_single ~job:(job_of (Job.File path)) ~optcheck ~trace_file ~trace_limit
-      ~stats_json
+    Cli.with_program_errors ~file:path (fun () ->
+        run_single ~job:(job_of (Job.File path)) ~optcheck ~trace_file
+          ~trace_limit ~stats_json)
   | _ :: _ :: _, Some _ -> usage_one_source ()
   | (_ :: _ :: _ as workloads), None ->
-    if trace_file <> None || stats_json <> None then begin
-      prerr_endline
+    if trace_file <> None || stats_json <> None then
+      Cli.die
         "--trace/--stats-json write one file: combine them with a single \
          --workload only";
-      exit 1
-    end;
     run_many ~job_of ~optcheck ~workloads
       ~jobs:(Dts_parallel.Pool.resolve_jobs jobs)
-      ~backend
 
 let workload_arg =
   let names = String.concat ", " (List.map (fun (w : Dts_workloads.Workloads.t) -> w.name) Dts_workloads.Workloads.all) in
@@ -158,7 +152,7 @@ let cmd =
       const run $ workload_arg $ file_arg $ Cli.scale_arg
       $ Cli.budget_arg ()
       $ Cli.jobs_arg ~default:0 ~doc:jobs_doc ()
-      $ Cli.backend_arg $ feasible_arg $ dif_arg $ nocompile_arg
+      $ feasible_arg $ dif_arg $ nocompile_arg
       $ nofastpath_arg $ width_arg $ height_arg $ vkb_arg $ vassoc_arg
       $ noren_arg $ storelist_arg $ predict_arg $ multicycle_arg $ blocks_arg
       $ optcheck_arg $ trace_arg $ trace_limit_arg $ stats_json_arg)

@@ -8,8 +8,7 @@
    --jobs fans each figure's simulations out over that many workers; the
    rendered output is bit-identical to a sequential run. Each named
    experiment becomes a Dts_job.Job figure descriptor evaluated through
-   Dts_job.Run — the same path the dtsvliw_serve campaign daemon uses, so
-   CLI and server output are byte-identical by construction.
+   Dts_job.Run.
 
    --alloc-json FILE additionally records, per experiment, the number of
    instructions simulated and the minor/major heap words allocated while
@@ -90,11 +89,10 @@ let write_optgap_json path ~budget (fig : Dts_experiments.Experiments.figure) =
        (List.mapi row fig.Dts_experiments.Experiments.rows));
   close_out oc
 
-let run_experiments names scale budget jobs backend alloc_json optgap_json =
+let run_experiments names scale budget jobs alloc_json optgap_json =
   Cli.check_positive ~what:"--budget" budget;
   Cli.check_positive ~what:"--scale" scale;
   Cli.check_non_negative ~what:"--jobs" jobs;
-  let backend = Cli.backend_of_flag backend in
   let names = if names = [] then [ "all" ] else names in
   let jobs_of name =
     let job = Job.figure ~budget ~scale name in
@@ -108,20 +106,14 @@ let run_experiments names scale budget jobs backend alloc_json optgap_json =
   in
   let job_list = List.map jobs_of names in
   let jobs = Dts_parallel.Pool.resolve_jobs jobs in
-  if alloc_json <> None && jobs > 1 then begin
-    prerr_endline
+  if alloc_json <> None && jobs > 1 then
+    Cli.die
       "experiments: --alloc-json requires sequential execution (drop --jobs)";
-    exit 1
-  end;
-  if optgap_json <> None && alloc_json <> None then begin
-    prerr_endline "experiments: --optgap-json is incompatible with --alloc-json";
-    exit 1
-  end;
-  if optgap_json <> None && names <> [ "optgap" ] then begin
-    prerr_endline
+  if optgap_json <> None && alloc_json <> None then
+    Cli.die "experiments: --optgap-json is incompatible with --alloc-json";
+  if optgap_json <> None && names <> [ "optgap" ] then
+    Cli.die
       "experiments: --optgap-json applies to exactly one experiment: optgap";
-    exit 1
-  end;
   (match optgap_json with
   | None -> ()
   | Some path ->
@@ -133,7 +125,7 @@ let run_experiments names scale budget jobs backend alloc_json optgap_json =
     in
     let fig =
       if jobs > 1 then
-        Dts_parallel.Pool.with_pool ~backend ~jobs (fun pool -> gen ~pool ())
+        Dts_parallel.Pool.with_pool ~jobs (fun pool -> gen ~pool ())
       else gen ()
     in
     print_string (fig.Dts_experiments.Experiments.render () ^ "\n");
@@ -171,7 +163,7 @@ let run_experiments names scale budget jobs backend alloc_json optgap_json =
       names job_list
   in
   if jobs > 1 then
-    Dts_parallel.Pool.with_pool ~backend ~jobs (fun pool -> render (Some pool))
+    Dts_parallel.Pool.with_pool ~jobs (fun pool -> render (Some pool))
   else render None;
   match alloc_json with
   | Some path -> write_alloc_json path ~budget (List.rev !alloc_rows)
@@ -217,6 +209,6 @@ let cmd =
       const run_experiments $ names_arg $ Cli.scale_arg
       $ Cli.budget_arg ~default:150_000 ()
       $ Cli.jobs_arg ~doc:jobs_doc ()
-      $ Cli.backend_arg $ alloc_json_arg $ optgap_json_arg)
+      $ alloc_json_arg $ optgap_json_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -276,87 +276,13 @@ let check_optgap path =
     "stats_check: %s ok (optgap: %d rows, %d fully certified)\n" path
     (List.length rows) !certified_rows
 
-(* --serve: validate a dtsvliw_serve results JSONL stream (the output of
-   `dtsvliw_serve results --id N`, possibly several streams concatenated).
-   Checks per line: parseable JSON with the documented event shape; per
-   job id: shard_done events stay within a consistent shard count with no
-   duplicates, and exactly one terminal event (done/failed/canceled)
-   arrives last. *)
-let check_serve path =
-  let text = In_channel.with_open_text path In_channel.input_all in
-  let jobs = Hashtbl.create 8 in
-  (* id -> (shards seen done, declared shard count, terminal seen) *)
-  let events = ref 0 in
-  let lines = String.split_on_char '\n' text in
-  List.iteri
-    (fun lineno line ->
-      if String.trim line <> "" then begin
-        let where = Printf.sprintf "%s:%d" path (lineno + 1) in
-        let j =
-          try Dts_obs.Json.of_string line
-          with Dts_obs.Json.Parse_error msg ->
-            fail "%s does not parse: %s" where msg
-        in
-        let int_of = int_of ~path:where and str_of = str_of ~path:where in
-        let id = int_of j "id" in
-        let ev = str_of j "ev" in
-        incr events;
-        let done_shards, shard_count, terminal =
-          match Hashtbl.find_opt jobs id with
-          | Some s -> s
-          | None ->
-            let s = (Hashtbl.create 8, ref (-1), ref false) in
-            Hashtbl.add jobs id s;
-            s
-        in
-        if !terminal then
-          fail "%s: job %d: event %S after its terminal event" where id ev;
-        match ev with
-        | "shard_done" ->
-          let shard = int_of j "shard" in
-          let shards = int_of j "shards" in
-          if shards <= 0 then fail "%s: job %d: shards %d" where id shards;
-          if !shard_count = -1 then shard_count := shards
-          else if !shard_count <> shards then
-            fail "%s: job %d: shard count changed %d -> %d" where id
-              !shard_count shards;
-          if shard < 0 || shard >= shards then
-            fail "%s: job %d: shard %d out of range [0,%d)" where id shard
-              shards;
-          if Hashtbl.mem done_shards shard then
-            fail "%s: job %d: duplicate shard_done %d" where id shard;
-          Hashtbl.add done_shards shard ()
-        | "retry" ->
-          ignore (int_of j "shard");
-          ignore (int_of j "attempt")
-        | "done" ->
-          ignore (int_of j "exit_code");
-          ignore (str_of j "text");
-          terminal := true
-        | "failed" ->
-          ignore (str_of j "error");
-          terminal := true
-        | "canceled" -> terminal := true
-        | _ -> fail "%s: job %d: unknown event %S" where id ev
-      end)
-    lines;
-  let ids = Hashtbl.fold (fun id _ acc -> id :: acc) jobs [] in
-  List.iter
-    (fun id ->
-      let _, _, terminal = Hashtbl.find jobs id in
-      if not !terminal then fail "%s: job %d: no terminal event" path id)
-    ids;
-  Printf.printf "stats_check: %s ok (serve stream: %d jobs, %d events)\n" path
-    (Hashtbl.length jobs) !events
-
 let () =
   match Sys.argv with
   | [| _; path |] -> check_stats path
   | [| _; "--bench"; path |] -> check_bench path
   | [| _; "--bench"; path; "--alloc"; fresh |] -> check_bench ~alloc:fresh path
-  | [| _; "--serve"; path |] -> check_serve path
   | [| _; "--optgap"; path |] -> check_optgap path
   | _ ->
     fail
       "usage: stats_check FILE.json | --bench FILE.json [--alloc FRESH.json] \
-       | --serve STREAM.jsonl | --optgap FILE.json"
+       | --optgap FILE.json"

@@ -8,27 +8,20 @@ open Cmdliner
 
 let run file run_it fuel =
   let src = In_channel.with_open_text file In_channel.input_all in
-  match Dts_tinyc.Tinyc.compile_to_assembly src with
-  | exception Dts_tinyc.Lexer.Error { line; msg } ->
-    Printf.eprintf "%s:%d: lexical error: %s\n" file line msg;
-    exit 1
-  | exception Dts_tinyc.Parser.Error { line; msg } ->
-    Printf.eprintf "%s:%d: parse error: %s\n" file line msg;
-    exit 1
-  | exception Dts_tinyc.Codegen.Error msg ->
-    Printf.eprintf "%s: %s\n" file msg;
-    exit 1
-  | asm ->
-    if not run_it then print_string asm
-    else begin
-      let program = Dts_asm.Assembler.assemble asm in
-      let st = Dts_asm.Program.boot program in
-      let g = Dts_golden.Golden.of_state st in
-      let n = Dts_golden.Golden.run ~max_instructions:fuel g in
-      Printf.printf "ran %d instructions; halted=%b; main returned %d\n" n
-        st.halted
-        (Dts_isa.State.get_reg st ~cwp:st.cwp 8)
-    end
+  let asm =
+    Dts_job.Cli.with_program_errors ~file (fun () ->
+        Dts_tinyc.Tinyc.compile_to_assembly src)
+  in
+  if not run_it then print_string asm
+  else begin
+    let program = Dts_asm.Assembler.assemble asm in
+    let st = Dts_asm.Program.boot program in
+    let g = Dts_golden.Golden.of_state st in
+    let n = Dts_golden.Golden.run ~max_instructions:fuel g in
+    Printf.printf "ran %d instructions; halted=%b; main returned %d\n" n
+      st.halted
+      (Dts_isa.State.get_reg st ~cwp:st.cwp 8)
+  end
 
 let file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.c" ~doc:"tinyc source")

@@ -150,14 +150,6 @@ let run_jobs ?pool ?scale ?budget jobs =
   | None -> List.map (run_job ?scale ?budget) jobs
   | Some p -> Dts_parallel.Pool.map p (run_job ?scale ?budget) jobs
 
-(* A figure core asks for its simulations through exactly one call to a
-   [runner]; the public per-figure entry points close the runner over
-   [?pool]/[?scale]/[?budget], while {!plan} and {!assemble} substitute
-   recording and replaying runners to split descriptor evaluation from
-   figure assembly (the campaign server farms the former out to worker
-   processes and reassembles the latter bit-identically). *)
-type runner = job list -> run list
-
 (* Split into consecutive [n]-sized chunks — the inverse of the flattening
    each figure performs before [run_jobs]. *)
 let chunk n xs =
@@ -237,7 +229,7 @@ let fig5_geometries =
 let fig5a_geometries =
   [ (96, 1); (384, 1); (96, 2); (384, 2); (96, 4); (384, 4); (96, 8); (384, 8) ]
 
-let geometry_sweep ~name ~title ~geometries ~(runner : runner) () =
+let geometry_sweep ?pool ?scale ?budget ~name ~title ~geometries () =
   let jobs =
     List.concat_map
       (fun (w, h) ->
@@ -251,7 +243,8 @@ let geometry_sweep ~name ~title ~geometries ~(runner : runner) () =
     List.map2
       (fun (w, h) runs -> (Printf.sprintf "%dx%d" w h, runs))
       geometries
-      (chunk (List.length workload_names) (runner jobs))
+      (chunk (List.length workload_names)
+         (run_jobs ?pool ?scale ?budget jobs))
   in
   let lines =
     List.map
@@ -265,25 +258,19 @@ let geometry_sweep ~name ~title ~geometries ~(runner : runner) () =
     ~runs:(List.concat_map snd per_geometry)
     lines
 
-let fig5a_core ~runner () =
+let fig5a ?pool ?scale ?budget () =
   geometry_sweep ~name:"fig5a"
     ~title:
       "Figure 5a: IPC for very wide blocks (instructions/li x li/block); \
        perfect caches, 3072KB VLIW$"
-    ~geometries:fig5a_geometries ~runner ()
+    ~geometries:fig5a_geometries ?pool ?scale ?budget ()
 
-let fig5a ?pool ?scale ?budget () =
-  fig5a_core ~runner:(run_jobs ?pool ?scale ?budget) ()
-
-let fig5_core ~runner () =
+let fig5 ?pool ?scale ?budget () =
   geometry_sweep ~name:"fig5"
     ~title:
       "Figure 5b: IPC vs block geometry (instructions/li x li/block); \
        perfect caches, 3072KB VLIW$, no next-li penalty"
-    ~geometries:fig5_geometries ~runner ()
-
-let fig5 ?pool ?scale ?budget () =
-  fig5_core ~runner:(run_jobs ?pool ?scale ?budget) ()
+    ~geometries:fig5_geometries ?pool ?scale ?budget ()
 
 (* ------------------------------------------------------------------ *)
 (* Shared shape: one series per configuration over all workloads        *)
@@ -292,7 +279,7 @@ let fig5 ?pool ?scale ?budget () =
 (** Run every workload on each labelled configuration and render one IPC
     series per configuration (the shape of Figures 6/7, the ablation and
     the extensions tables). *)
-let config_sweep ~name ~title ~(runner : runner) labelled_cfgs =
+let config_sweep ?pool ?scale ?budget ~name ~title labelled_cfgs =
   let jobs =
     List.concat_map
       (fun (_, cfg) -> List.map (fun nm -> J_dtsvliw (cfg, nm)) workload_names)
@@ -302,7 +289,8 @@ let config_sweep ~name ~title ~(runner : runner) labelled_cfgs =
     List.map2
       (fun (label, _) runs -> (label, runs))
       labelled_cfgs
-      (chunk (List.length workload_names) (runner jobs))
+      (chunk (List.length workload_names)
+         (run_jobs ?pool ?scale ?budget jobs))
   in
   let lines =
     List.map
@@ -322,25 +310,24 @@ let config_sweep ~name ~title ~(runner : runner) labelled_cfgs =
 
 let fig6_sizes_kb = [ 48; 96; 192; 384; 768; 1536; 3072 ]
 
-let fig6_core ~runner () =
+let fig6 ?pool ?scale ?budget () =
   config_sweep ~name:"fig6"
-    ~title:"Figure 6: IPC vs VLIW Cache size (8x8 blocks, 4-way)" ~runner
+    ~title:"Figure 6: IPC vs VLIW Cache size (8x8 blocks, 4-way)"
+    ?pool ?scale ?budget
     (List.map
        (fun kb ->
          ( Printf.sprintf "%dKB" kb,
            { (Dts_core.Config.ideal ()) with vliw_cache = { kb; assoc = 4 } } ))
        fig6_sizes_kb)
 
-let fig6 ?pool ?scale ?budget () =
-  fig6_core ~runner:(run_jobs ?pool ?scale ?budget) ()
-
 (* ------------------------------------------------------------------ *)
 (* Figure 7: VLIW Cache associativity (96KB and 384KB, 8x8)             *)
 (* ------------------------------------------------------------------ *)
 
-let fig7_core ~runner () =
+let fig7 ?pool ?scale ?budget () =
   config_sweep ~name:"fig7"
-    ~title:"Figure 7: IPC vs VLIW Cache associativity (8x8 blocks)" ~runner
+    ~title:"Figure 7: IPC vs VLIW Cache associativity (8x8 blocks)"
+    ?pool ?scale ?budget
     (List.concat_map
        (fun kb ->
          List.map
@@ -349,9 +336,6 @@ let fig7_core ~runner () =
                { (Dts_core.Config.ideal ()) with vliw_cache = { kb; assoc } } ))
            [ 1; 2; 4; 8 ])
        [ 96; 384 ])
-
-let fig7 ?pool ?scale ?budget () =
-  fig7_core ~runner:(run_jobs ?pool ?scale ?budget) ()
 
 (* ------------------------------------------------------------------ *)
 (* Figure 8: feasible machine cost breakdown (differential ablation)    *)
@@ -386,7 +370,7 @@ let fig8_chain () =
     ("feasible (+next-li)", feasible);
   ]
 
-let fig8_core ~(runner : runner) () =
+let fig8 ?pool ?scale ?budget () =
   let chain = fig8_chain () in
   let jobs =
     List.concat_map
@@ -397,7 +381,7 @@ let fig8_core ~(runner : runner) () =
     List.map2
       (fun name runs -> (name, runs))
       workload_names
-      (chunk (List.length chain) (runner jobs))
+      (chunk (List.length chain) (run_jobs ?pool ?scale ?budget jobs))
   in
   let headers =
     [ "benchmark"; "ILP"; "NextLI cost"; "D$ cost"; "I$ cost"; "FU cost"; "ideal" ]
@@ -427,17 +411,15 @@ let fig8_core ~(runner : runner) () =
     ~runs:(List.concat_map snd per_wl)
     rows
 
-let fig8 ?pool ?scale ?budget () =
-  fig8_core ~runner:(run_jobs ?pool ?scale ?budget) ()
-
 (* ------------------------------------------------------------------ *)
 (* Table 3: performance and resources of the feasible machine           *)
 (* ------------------------------------------------------------------ *)
 
-let table3_core ~(runner : runner) () =
+let table3 ?pool ?scale ?budget () =
   let feasible = Dts_core.Config.feasible () in
   let runs =
-    runner (List.map (fun name -> J_dtsvliw (feasible, name)) workload_names)
+    run_jobs ?pool ?scale ?budget
+      (List.map (fun name -> J_dtsvliw (feasible, name)) workload_names)
   in
   let headers =
     [
@@ -472,9 +454,6 @@ let table3_core ~(runner : runner) () =
     ~title:"Table 3: performance and resource consumption of the feasible machine"
     ~headers ~runs rows
 
-let table3 ?pool ?scale ?budget () =
-  table3_core ~runner:(run_jobs ?pool ?scale ?budget) ()
-
 (* ------------------------------------------------------------------ *)
 (* Figure 9: DTSVLIW vs DIF                                             *)
 (* ------------------------------------------------------------------ *)
@@ -489,7 +468,7 @@ let fig9_dtsvliw_cfg () =
   in
   { base with sched = { base.sched with slot_classes = Some classes } }
 
-let fig9_core ~(runner : runner) () =
+let fig9 ?pool ?scale ?budget () =
   let dts_cfg = fig9_dtsvliw_cfg () in
   let dif_cfg = Dts_dif.Dif.fig9_machine_cfg () in
   let nw = List.length workload_names in
@@ -500,7 +479,7 @@ let fig9_core ~(runner : runner) () =
     @ [ J_dtsvliw (dts_cfg, "compress") ]
   in
   let dts_runs, dif_runs, resources_run =
-    match chunk nw (runner jobs) with
+    match chunk nw (run_jobs ?pool ?scale ?budget jobs) with
     | [ a; b; [ r ] ] -> (a, b, r)
     | _ -> assert false
   in
@@ -534,9 +513,6 @@ let fig9_core ~(runner : runner) () =
     ~runs:(dts_runs @ dif_runs @ [ resources_run ])
     rows
 
-let fig9 ?pool ?scale ?budget () =
-  fig9_core ~runner:(run_jobs ?pool ?scale ?budget) ()
-
 (* ------------------------------------------------------------------ *)
 (* Ablations (beyond the paper; design choices called out in DESIGN.md) *)
 (* ------------------------------------------------------------------ *)
@@ -554,14 +530,12 @@ let ablations =
       fun c -> { c with sched = { c.sched with strict_control_insert = true } } );
   ]
 
-let ablation_core ~runner () =
+let ablation ?pool ?scale ?budget () =
   let base = Dts_core.Config.ideal () in
   config_sweep ~name:"ablation"
-    ~title:"Ablation: scheduler design choices (ideal 8x8 machine)" ~runner
+    ~title:"Ablation: scheduler design choices (ideal 8x8 machine)"
+    ?pool ?scale ?budget
     (List.map (fun (label, f) -> (label, f base)) ablations)
-
-let ablation ?pool ?scale ?budget () =
-  ablation_core ~runner:(run_jobs ?pool ?scale ?budget) ()
 
 (* ------------------------------------------------------------------ *)
 (* Extensions: the paper's §5 future work and §3.11 alternative, measured  *)
@@ -570,13 +544,13 @@ let ablation ?pool ?scale ?budget () =
 (** Next-long-instruction prediction (§5), the data-store-list exception
     scheme (§3.11's "has not been used" alternative), and multicycle
     functional units ([14]) — each against the feasible machine. *)
-let extensions_core ~runner () =
+let extensions ?pool ?scale ?budget () =
   let feasible = Dts_core.Config.feasible () in
   config_sweep ~name:"extensions"
     ~title:
       "Extensions (beyond the paper): next-li prediction (sec. 5), data store \
        list (sec. 3.11), multicycle units ([14])"
-    ~runner
+    ?pool ?scale ?budget
     [
       ("feasible baseline", feasible);
       ("+ next-li prediction", { feasible with next_li_prediction = true });
@@ -595,9 +569,6 @@ let extensions_core ~runner () =
         } );
     ]
 
-let extensions ?pool ?scale ?budget () =
-  extensions_core ~runner:(run_jobs ?pool ?scale ?budget) ()
-
 (* ------------------------------------------------------------------ *)
 (* Optimality gap: greedy FCFS vs branch-and-bound optimal schedules    *)
 (* ------------------------------------------------------------------ *)
@@ -614,7 +585,7 @@ let optgap_geometries () =
     oracle and the long-instruction counts are summed. [optimal (lower)]
     and [optimal (upper)] are certified bounds; when every block certifies
     ([certified] = [blocks]) they coincide and the gap is exact. *)
-let optgap_core ~(runner : runner) () =
+let optgap ?pool ?scale ?budget () =
   let geoms = optgap_geometries () in
   let jobs =
     List.concat_map
@@ -625,7 +596,8 @@ let optgap_core ~(runner : runner) () =
     List.map2
       (fun (label, _) runs -> (label, runs))
       geoms
-      (chunk (List.length workload_names) (runner jobs))
+      (chunk (List.length workload_names)
+         (run_jobs ?pool ?scale ?budget jobs))
   in
   let rows =
     List.concat_map
@@ -665,9 +637,6 @@ let optgap_core ~(runner : runner) () =
     ~runs:(List.concat_map snd per_geom)
     rows
 
-let optgap ?pool ?scale ?budget () =
-  optgap_core ~runner:(run_jobs ?pool ?scale ?budget) ()
-
 (* ------------------------------------------------------------------ *)
 (* Cycle breakdown: the observability layer's own table                 *)
 (* ------------------------------------------------------------------ *)
@@ -676,10 +645,11 @@ let optgap ?pool ?scale ?budget () =
     attributed to one category (see {!Dts_obs.Attribution}), per workload,
     as a fraction of total cycles. The [TOTAL] row is the invariant check:
     attributed cycles / machine cycles, always 100.0%. *)
-let breakdown_core ~(runner : runner) () =
+let breakdown ?pool ?scale ?budget () =
   let feasible = Dts_core.Config.feasible () in
   let runs =
-    runner (List.map (fun name -> J_dtsvliw (feasible, name)) workload_names)
+    run_jobs ?pool ?scale ?budget
+      (List.map (fun name -> J_dtsvliw (feasible, name)) workload_names)
   in
   let fraction_of r cat =
     float_of_int (Dts_obs.Attribution.sum_of r.stats.Dts_obs.Stats.attribution [ cat ])
@@ -711,101 +681,6 @@ let breakdown_core ~(runner : runner) () =
       "Cycle breakdown: attribution of every machine cycle (feasible machine)"
     ~headers:([ "category" ] @ workload_names @ [ "average" ])
     ~runs rows
-
-let breakdown ?pool ?scale ?budget () =
-  breakdown_core ~runner:(run_jobs ?pool ?scale ?budget) ()
-
-(* ------------------------------------------------------------------ *)
-(* Plan / evaluate / assemble: the distributed evaluation API           *)
-(* ------------------------------------------------------------------ *)
-
-type descriptor = job
-
-(* Figures whose cores simulate nothing ignore the runner entirely. *)
-let cores : (string * (runner:runner -> unit -> figure)) list =
-  [
-    ("table1", fun ~runner () -> ignore runner; table1 ());
-    ("table2", fun ~runner () -> ignore runner; table2 ());
-    ("fig5a", fig5a_core);
-    ("fig5", fig5_core);
-    ("fig6", fig6_core);
-    ("fig7", fig7_core);
-    ("fig8", fig8_core);
-    ("table3", table3_core);
-    ("fig9", fig9_core);
-    ("ablation", ablation_core);
-    ("extensions", extensions_core);
-    ("breakdown", breakdown_core);
-    ("optgap", optgap_core);
-  ]
-
-(* "all" concatenates these, in this order (see {!all_figures}). *)
-let all_components =
-  [ "table1"; "table2"; "fig5a"; "fig5"; "fig6"; "fig7"; "fig8"; "table3";
-    "fig9"; "ablation"; "extensions" ]
-
-let core_of name =
-  match List.assoc_opt name cores with
-  | Some core -> core
-  | None ->
-    invalid_arg
-      (Printf.sprintf "Experiments: unknown figure %S (expected one of %s)"
-         name
-         (String.concat ", " (List.map fst cores @ [ "all" ])))
-
-exception Planned of job list
-
-(* A figure core calls its runner exactly once with the full flat
-   descriptor list (the PR 3 run-descriptor refactor), so a recording
-   runner observes the complete plan. *)
-let rec plan name =
-  if name = "all" then List.concat_map plan all_components
-  else begin
-    let core = core_of name in
-    match core ~runner:(fun jobs -> raise (Planned jobs)) () with
-    | _ -> [] (* the core never consulted the runner: nothing to simulate *)
-    | exception Planned jobs -> jobs
-  end
-
-let eval_descriptor ?scale ?budget d = run_job ?scale ?budget d
-
-let replay_runner ~name runs jobs =
-  if List.length jobs <> List.length runs then
-    invalid_arg
-      (Printf.sprintf
-         "Experiments.assemble: figure %s expects %d runs, got %d" name
-         (List.length jobs) (List.length runs))
-  else runs
-
-(* Take [n] elements off the front. *)
-let take_drop n xs =
-  let rec go acc k = function
-    | rest when k = 0 -> (List.rev acc, rest)
-    | [] -> invalid_arg "Experiments.assemble: too few runs"
-    | x :: tl -> go (x :: acc) (k - 1) tl
-  in
-  go [] n xs
-
-let rec assemble name runs =
-  if name = "all" then begin
-    let figs, rest =
-      List.fold_left
-        (fun (figs, rest) comp ->
-          let mine, rest = take_drop (List.length (plan comp)) rest in
-          (assemble comp mine :: figs, rest))
-        ([], runs) all_components
-    in
-    if rest <> [] then invalid_arg "Experiments.assemble: too many runs";
-    let figs = List.rev figs in
-    let rendered = List.map (fun f -> f.render ()) figs in
-    {
-      name = "all";
-      rows = List.concat_map (fun f -> f.rows) figs;
-      tables = List.concat_map (fun f -> f.tables) figs;
-      render = (fun () -> String.concat "\n" rendered);
-    }
-  end
-  else (core_of name) ~runner:(replay_runner ~name runs) ()
 
 (* ------------------------------------------------------------------ *)
 

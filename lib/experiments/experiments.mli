@@ -149,35 +149,3 @@ val by_name :
   * (?pool:Dts_parallel.Pool.t -> ?scale:int -> ?budget:int -> unit -> figure))
   list
 (** Name → generator registry used by [bin/experiments] and the bench. *)
-
-(** {2 Distributed evaluation}
-
-    A figure is a pure function of its {!run} records, and those records
-    are produced from a flat, deterministic list of per-simulation
-    descriptors (the PR 3 run-descriptor refactor). The three functions
-    below split the two phases so independent processes can evaluate
-    disjoint slices of a figure's plan and a coordinator can reassemble
-    the figure — bit-identical to a local run — from the runs in plan
-    order. [Dts_job.Run] and the [dtsvliw_serve] campaign daemon are the
-    consumers. *)
-
-type descriptor
-(** One simulation of a figure's plan: a machine configuration plus a
-    workload name. Plain data (safe to evaluate in a forked worker and
-    marshal the resulting {!run} back). *)
-
-val plan : string -> descriptor list
-(** The complete, deterministic descriptor list of the named figure —
-    empty for figures that simulate nothing (["table1"], ["table2"]);
-    ["all"] concatenates its components' plans in rendering order.
-    @raise Invalid_argument on an unknown figure name. *)
-
-val eval_descriptor : ?scale:int -> ?budget:int -> descriptor -> run
-(** Evaluate one descriptor (same validation as {!run_dtsvliw}). *)
-
-val assemble : string -> run list -> figure
-(** Rebuild the named figure from runs listed in {!plan} order. For every
-    figure and any slicing of its plan,
-    [assemble name (List.map eval_descriptor (plan name))] equals the
-    direct generator call — enforced by test.
-    @raise Invalid_argument on an unknown name or a run-count mismatch. *)

@@ -75,9 +75,9 @@ let process_failure ~geoms ~fuel ~shrink ~out_dir ~index ~seed program divs =
   }
 
 (** Evaluate campaign item [i]: generate program [derive seed i] and run
-    it on every engine. Returns [(i, per-program seed, verdict)] — plain
-    data, so shards of a campaign can be evaluated in separate processes
-    and reassembled by index. *)
+    it on every engine. Returns [(i, per-program seed, verdict)], so a
+    campaign's items can be evaluated in any order on a pool and folded
+    by index. *)
 let item ~geoms ~max_insns ~seed i =
   let fuel = Gen.dynamic_bound ~max_insns in
   let pseed = Sprng.derive seed i in

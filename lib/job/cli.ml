@@ -1,13 +1,16 @@
-(** Shared CLI plumbing for the four binaries ([dtsvliw_sim],
-    [experiments], [dtsfuzz], [dtsvliw_serve]): the common flags spelled
-    once, the common validation, and the common exit-code contract.
+(** Shared CLI plumbing for [dtsvliw_sim], [experiments] and [dtsfuzz]
+    (and the program-file error handler [dtsasm] and [tinycc] use too):
+    the common flags spelled once, the common validation, and the common
+    exit-code contract.
 
     Exit codes (documented in the README):
     - [0] — success;
-    - [1] — the task itself failed (a fuzz divergence, a failed replay, a
-      job the server reports as failed);
-    - [2] — junk flag {e values} (non-positive budget/count, unknown
-      config name, ...) rejected by {!check} before any work starts;
+    - [1] — the task itself failed (a fuzz divergence, a failed replay, an
+      [--optcheck] violation);
+    - [2] — usage errors rejected before any work starts: junk flag
+      {e values} (non-positive budget/count, unknown config name, ...),
+      flag combinations that cannot apply together, and malformed program
+      files (see {!with_program_errors});
     - [124] — cmdliner's own exit for malformed command lines. *)
 
 open Cmdliner
@@ -43,11 +46,18 @@ let geoms_of_config config =
   | Some geoms -> geoms
   | None -> die "unknown --config %s (expected all, ideal or feasible)" config
 
-(** Parse a [--pool-backend] name or exit {!usage_error}. *)
-let backend_of_flag name =
-  match Dts_parallel.Pool.backend_of_string name with
-  | Some b -> b
-  | None -> die "unknown --pool-backend %s (expected domains or processes)" name
+(** Run [f ()], which loads the program file [file]. A malformed program
+    — an assembler, tinyc lexer, parser or code-generator error — prints
+    ["file:line: msg"] (just ["file: msg"] for code-generator errors,
+    which carry no line) and exits {!usage_error}. *)
+let with_program_errors ~file f =
+  try f () with
+  | Dts_asm.Assembler.Error { line; msg } -> die "%s:%d: %s" file line msg
+  | Dts_tinyc.Lexer.Error { line; msg } ->
+    die "%s:%d: lexical error: %s" file line msg
+  | Dts_tinyc.Parser.Error { line; msg } ->
+    die "%s:%d: parse error: %s" file line msg
+  | Dts_tinyc.Codegen.Error msg -> die "%s: %s" file msg
 
 (** [Cmd.info] with the shared [--version] string attached. *)
 let cmd_info ?doc name = Cmd.info ?doc ~version name
@@ -77,11 +87,3 @@ let config_arg =
     value & opt string "all"
     & info [ "config" ] ~docv:"GEOM"
         ~doc:"DTSVLIW geometries to exercise: all, ideal or feasible.")
-
-let backend_arg =
-  Arg.(
-    value & opt string "domains"
-    & info [ "pool-backend" ] ~docv:"BACKEND"
-        ~doc:
-          "Worker pool backend for --jobs fan-out: domains (in-process) or \
-           processes (forked). Output is bit-identical under either.")

@@ -1,6 +1,3 @@
-open Dts_obs
-open Codec
-
 type source = Builtin of string | File of string
 
 type kind =
@@ -38,14 +35,6 @@ let fuzz_batch ?(max_insns = Dts_fuzz.Gen.default_max_insns)
 let workload ?(budget = default_budget) ?(scale = default_scale)
     ?(machine = Machine_opts.default) ?(dump_blocks = 0) source =
   { kind = Workload { source; machine; dump_blocks }; budget; scale }
-
-let kind_name t =
-  match t.kind with
-  | Figure _ -> "figure"
-  | Fuzz_batch _ -> "fuzz_batch"
-  | Workload _ -> "workload"
-
-let equal (a : t) (b : t) = a = b
 
 let figure_names = List.map fst Dts_experiments.Experiments.by_name
 
@@ -94,90 +83,3 @@ let validate t =
              (String.concat ", " workload_names))
     | File "" -> Error "workload file path must not be empty"
     | File _ -> Ok ())
-
-(* ---------- JSON ---------- *)
-
-let source_to_json = function
-  | Builtin name -> Json.Obj [ ("builtin", Json.String name) ]
-  | File path -> Json.Obj [ ("file", Json.String path) ]
-
-let source_of_json j =
-  let* f = start ~ctx:"job source" j in
-  match f.remaining with
-  | [ ("builtin", _) ] ->
-    let* name = string_field f "builtin" in
-    finish f (Builtin name)
-  | [ ("file", _) ] ->
-    let* path = string_field f "file" in
-    finish f (File path)
-  | _ ->
-    Error
-      "job source: expected exactly one of field \"builtin\" or field \"file\""
-
-let to_json t =
-  let common = [ ("budget", Json.Int t.budget); ("scale", Json.Int t.scale) ] in
-  match t.kind with
-  | Figure { figure } ->
-    Json.Obj
-      ([ ("kind", Json.String "figure"); ("figure", Json.String figure) ]
-      @ common)
-  | Fuzz_batch { seed; count; max_insns; config; shrink; out_dir } ->
-    Json.Obj
-      ([
-         ("kind", Json.String "fuzz_batch");
-         ("seed", Json.Int seed);
-         ("count", Json.Int count);
-         ("max_insns", Json.Int max_insns);
-         ("config", Json.String config);
-         ("shrink", Json.Bool shrink);
-         ("out_dir", string_opt_json out_dir);
-       ]
-      @ common)
-  | Workload { source; machine; dump_blocks } ->
-    Json.Obj
-      ([
-         ("kind", Json.String "workload");
-         ("source", source_to_json source);
-         ("machine", Machine_opts.to_json machine);
-         ("dump_blocks", Json.Int dump_blocks);
-       ]
-      @ common)
-
-let of_json j =
-  let* f = start ~ctx:"job" j in
-  let* kind_tag = string_field f "kind" in
-  let* kind =
-    match kind_tag with
-    | "figure" ->
-      let* figure = string_field f "figure" in
-      Ok (Figure { figure })
-    | "fuzz_batch" ->
-      let* seed = int_field f "seed" in
-      let* count = int_field f "count" in
-      let* max_insns = int_field f "max_insns" in
-      let* config = string_field f "config" in
-      let* shrink = bool_field f "shrink" in
-      let* out_dir = string_opt_field f "out_dir" in
-      Ok (Fuzz_batch { seed; count; max_insns; config; shrink; out_dir })
-    | "workload" ->
-      let* src = obj_field f "source" in
-      let* source = source_of_json src in
-      let* m = obj_field f "machine" in
-      let* machine = Machine_opts.of_json m in
-      let* dump_blocks = int_field f "dump_blocks" in
-      Ok (Workload { source; machine; dump_blocks })
-    | other ->
-      error "job" "unknown kind %S (expected figure, fuzz_batch or workload)"
-        other
-  in
-  let* budget = int_field f "budget" in
-  let* scale = int_field f "scale" in
-  let* t = finish f { kind; budget; scale } in
-  match validate t with Ok () -> Ok t | Error e -> Error ("job: " ^ e)
-
-let to_string t = Json.to_string (to_json t)
-
-let of_string s =
-  match Json.of_string s with
-  | j -> of_json j
-  | exception Json.Parse_error msg -> Error ("job: invalid JSON: " ^ msg)

@@ -205,88 +205,7 @@ let fuzz_outcome ~seed ~max_insns ~geoms (summary : Dts_fuzz.Driver.summary) =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Sharding                                                             *)
-(* ------------------------------------------------------------------ *)
-
-type shard = Whole | Slice of { lo : int; hi : int }
-
-type shard_result =
-  | Workload_outcome of outcome
-  | Figure_runs of Experiments.run list
-  | Fuzz_verdicts of (int * int * Dts_fuzz.Diff.verdict) list
-
-let default_max_shards = 16
-
-let slices ~max_shards n =
-  if n = 0 then [ Slice { lo = 0; hi = 0 } ]
-  else
-    let k = min (max 1 max_shards) n in
-    List.init k (fun s -> Slice { lo = s * n / k; hi = (s + 1) * n / k })
-
-let shards ?(max_shards = default_max_shards) (job : Job.t) =
-  match job.kind with
-  | Job.Workload _ -> [ Whole ]
-  | Job.Figure { figure } ->
-    slices ~max_shards (List.length (Experiments.plan figure))
-  | Job.Fuzz_batch { count; _ } -> slices ~max_shards count
-
-let sub ~lo ~hi xs = List.filteri (fun i _ -> lo <= i && i < hi) xs
-
-let eval_shard ?tracer (job : Job.t) shard =
-  match (job.kind, shard) with
-  | Job.Workload { source; machine; dump_blocks }, Whole ->
-    Workload_outcome
-      (run_workload ?tracer ~budget:job.budget ~scale:job.scale ~source
-         ~machine ~dump_blocks ())
-  | Job.Figure { figure }, Slice { lo; hi } ->
-    Figure_runs
-      (List.map
-         (Experiments.eval_descriptor ~scale:job.scale ~budget:job.budget)
-         (sub ~lo ~hi (Experiments.plan figure)))
-  | Job.Fuzz_batch { seed; max_insns; config; _ }, Slice { lo; hi } ->
-    let geoms = geoms_of config in
-    Fuzz_verdicts
-      (List.init (hi - lo) (fun j ->
-           Dts_fuzz.Driver.item ~geoms ~max_insns ~seed (lo + j)))
-  | _ ->
-    invalid_arg "Dts_job.Run.eval_shard: shard shape does not match job kind"
-
-let assemble (job : Job.t) results =
-  let wrong what =
-    invalid_arg
-      (Printf.sprintf "Dts_job.Run.assemble: %s job got a foreign shard result"
-         what)
-  in
-  match job.kind with
-  | Job.Workload _ -> (
-    match results with
-    | [ Workload_outcome o ] -> o
-    | _ ->
-      invalid_arg
-        "Dts_job.Run.assemble: a workload job has exactly one whole shard")
-  | Job.Figure { figure } ->
-    let runs =
-      List.concat_map
-        (function Figure_runs rs -> rs | _ -> wrong "figure")
-        results
-    in
-    let fig = Experiments.assemble figure runs in
-    { text = fig.Experiments.render () ^ "\n"; stats_json = None; exit_code = 0 }
-  | Job.Fuzz_batch { seed; count; max_insns; config; shrink; out_dir } ->
-    let verdicts =
-      List.concat_map
-        (function Fuzz_verdicts vs -> vs | _ -> wrong "fuzz")
-        results
-    in
-    let geoms = geoms_of config in
-    let summary =
-      Dts_fuzz.Driver.summarize ~geoms ~max_insns ~shrink ?out_dir ~count
-        verdicts
-    in
-    fuzz_outcome ~seed ~max_insns ~geoms summary
-
-(* ------------------------------------------------------------------ *)
-(* Direct (one-process) evaluation                                      *)
+(* Evaluation                                                           *)
 (* ------------------------------------------------------------------ *)
 
 let pool_map pool f xs =

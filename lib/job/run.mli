@@ -1,22 +1,8 @@
-(** Evaluating a {!Job.t} — the single execution path behind every CLI and
-    the campaign daemon.
-
-    Two routes produce an {!outcome}, and they are byte-identical by
-    construction and by test:
-
-    - {!run}: evaluate the job in this process (optionally over a
-      {!Dts_parallel.Pool}), exactly as the one-shot CLIs always have.
-    - {!shards} → {!eval_shard} (in any processes, in any interleaving) →
-      {!assemble}: the distributed route the [dtsvliw_serve] daemon uses.
-      Shard results are plain data, safe to [Marshal] between processes;
-      reassembly is by index, so the outcome does not depend on how many
-      workers evaluated the shards or in what order they finished.
+(** Evaluating a {!Job.t} — the single execution path behind every CLI.
 
     [outcome.text] is the verbatim stdout of the corresponding CLI
     ([dtsvliw_sim] for workload jobs, [experiments] for figure jobs,
-    [dtsfuzz] for fuzz jobs) — the CLIs print it unmodified, which is what
-    makes "server output = CLI output" a byte equality rather than an
-    approximation. *)
+    [dtsfuzz] for fuzz jobs); the CLIs print it unmodified. *)
 
 type outcome = {
   text : string;  (** the CLI's exact stdout for this job *)
@@ -32,7 +18,7 @@ val run :
   ?optcheck:bool ->
   Job.t ->
   outcome
-(** Evaluate the job here. [pool] fans out a figure's simulations or a fuzz
+(** Evaluate the job. [pool] fans out a figure's simulations or a fuzz
     batch's programs (submission-order reassembly keeps the outcome
     bit-identical for any pool size); [tracer] applies to workload jobs.
 
@@ -42,44 +28,8 @@ val run :
     the oracle's independent legality invariants, and assert the greedy
     schedule's length is never below the certified optimal lower bound.
     Appends a summary line to [text]; violations are reported and make
-    [exit_code] 1. Like [tracer], this is a CLI-side option — it is not
-    part of {!Job.t} and does not flow through the sharded route.
+    [exit_code] 1. Like [tracer], this is a CLI-side option, not part of
+    {!Job.t}.
     @raise Invalid_argument on budget/scale violations (callers validate
     first), on [optcheck] with a [--dif] machine, [Sys_error] on an
     unreadable workload file. *)
-
-(** {2 Sharded evaluation} *)
-
-type shard =
-  | Whole  (** the only shard of a workload job *)
-  | Slice of { lo : int; hi : int }
-      (** indices [lo, hi) of a figure's {!Dts_experiments.Experiments.plan}
-          or of a fuzz batch's program indices *)
-
-(** What a worker sends back: plain marshalable data, never rendered
-    text (except for workload jobs, whose single shard is the run). *)
-type shard_result =
-  | Workload_outcome of outcome
-  | Figure_runs of Dts_experiments.Experiments.run list
-  | Fuzz_verdicts of (int * int * Dts_fuzz.Diff.verdict) list
-      (** (program index, derived seed, verdict) in index order *)
-
-val default_max_shards : int
-(** 16 — fixed, so a job's shard list (and therefore its reassembled
-    outcome) is independent of the daemon's worker count. *)
-
-val shards : ?max_shards:int -> Job.t -> shard list
-(** The job's complete shard list: [\[Whole\]] for workloads, contiguous
-    near-equal slices otherwise (a zero-length plan still yields one empty
-    slice so the job flows through the same machinery). *)
-
-val eval_shard : ?tracer:Dts_obs.Trace.t -> Job.t -> shard -> shard_result
-(** Evaluate one shard. Pure in (job, shard) for figure and fuzz shards —
-    the property worker retries rely on. *)
-
-val assemble : Job.t -> shard_result list -> outcome
-(** Rebuild the outcome from shard results listed in {!shards} order.
-    [assemble job (List.map (eval_shard job) (shards job)) = run job]
-    byte-for-byte — enforced by test. Fuzz reproducer files are written
-    here (shrinking included), not in workers.
-    @raise Invalid_argument on a shard-shape mismatch. *)

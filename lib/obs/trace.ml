@@ -29,17 +29,6 @@ type event =
   | Checkpoint_recovery of { undone : int }
       (** §3.11 rollback: registers restored, [undone] buffered/overwritten
           stores undone or annulled *)
-  | Job_submitted of { id : int; kind : string }
-      (** a campaign job entered the [dtsvliw_serve] queue; [kind] is the
-          job descriptor's kind tag *)
-  | Job_shard_done of { id : int; shard : int; shards : int }
-      (** worker shard [shard] of [shards] delivered its results *)
-  | Job_retry of { id : int; shard : int; attempt : int }
-      (** a worker died before delivering shard [shard]; re-queued as
-          attempt [attempt] *)
-  | Job_done of { id : int; ok : bool }
-      (** the job reached a terminal state ([ok] = assembled successfully) *)
-  | Job_canceled of { id : int }
 
 let event_name = function
   | Engine_switch _ -> "engine_switch"
@@ -49,11 +38,6 @@ let event_name = function
   | Block_fetch _ -> "block_fetch"
   | Aliasing_violation _ -> "aliasing_violation"
   | Checkpoint_recovery _ -> "checkpoint_recovery"
-  | Job_submitted _ -> "job_submitted"
-  | Job_shard_done _ -> "job_shard_done"
-  | Job_retry _ -> "job_retry"
-  | Job_done _ -> "job_done"
-  | Job_canceled _ -> "job_canceled"
 
 let event_names =
   [
@@ -64,11 +48,6 @@ let event_names =
     "block_fetch";
     "aliasing_violation";
     "checkpoint_recovery";
-    "job_submitted";
-    "job_shard_done";
-    "job_retry";
-    "job_done";
-    "job_canceled";
   ]
 
 type sink = Null | Channel of out_channel | Memory of Buffer.t
@@ -122,23 +101,6 @@ let line_of ~cycle ev =
   | Checkpoint_recovery { undone } ->
     Printf.sprintf "{\"cycle\":%d,\"ev\":\"checkpoint_recovery\",\"undone\":%d}"
       cycle undone
-  | Job_submitted { id; kind } ->
-    Printf.sprintf
-      "{\"cycle\":%d,\"ev\":\"job_submitted\",\"id\":%d,\"kind\":\"%s\"}" cycle
-      id (Json.escape kind)
-  | Job_shard_done { id; shard; shards } ->
-    Printf.sprintf
-      "{\"cycle\":%d,\"ev\":\"job_shard_done\",\"id\":%d,\"shard\":%d,\"shards\":%d}"
-      cycle id shard shards
-  | Job_retry { id; shard; attempt } ->
-    Printf.sprintf
-      "{\"cycle\":%d,\"ev\":\"job_retry\",\"id\":%d,\"shard\":%d,\"attempt\":%d}"
-      cycle id shard attempt
-  | Job_done { id; ok } ->
-    Printf.sprintf "{\"cycle\":%d,\"ev\":\"job_done\",\"id\":%d,\"ok\":%b}"
-      cycle id ok
-  | Job_canceled { id } ->
-    Printf.sprintf "{\"cycle\":%d,\"ev\":\"job_canceled\",\"id\":%d}" cycle id
 
 let emit t ev =
   match t.sink with

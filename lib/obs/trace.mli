@@ -14,15 +14,6 @@ type event =
   | Block_fetch of { tag : int }
   | Aliasing_violation of { tag : int; li : int }
   | Checkpoint_recovery of { undone : int }
-  | Job_submitted of { id : int; kind : string }
-  | Job_shard_done of { id : int; shard : int; shards : int }
-  | Job_retry of { id : int; shard : int; attempt : int }
-  | Job_done of { id : int; ok : bool }
-  | Job_canceled of { id : int }
-      (** The [Job_*] events are the campaign-server job lifecycle
-          ([dtsvliw_serve --trace]); their [cycle] field carries the
-          daemon's monotone event sequence number instead of a machine
-          cycle. *)
 
 val event_name : event -> string
 val event_names : string list
