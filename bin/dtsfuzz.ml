@@ -1,11 +1,12 @@
 (* Differential fuzzing CLI.
 
    Generate seeded random SRISC programs and run each on every engine of
-   the repository — Golden, Primary-only, DTSVLIW interpreted and compiled
-   on the ideal and feasible geometries, and DIF — comparing final
-   registers, memory and the sequential instruction count. On a divergence
-   the program is greedily shrunk and a self-contained reproducer is
-   written to the failure directory.
+   the repository — Golden, the boxed ISA reference, Primary-only, DTSVLIW
+   with the greedy and the optimal-oracle schedulers on the ideal and
+   feasible geometries, and DIF — comparing final registers, memory and
+   the sequential instruction count. On a divergence the program is
+   greedily shrunk and a self-contained reproducer is written to the
+   failure directory.
 
    Examples:
      dtsfuzz --count 1000 --seed 42
@@ -14,7 +15,8 @@
 
    Determinism: the same seed yields the same programs and the same
    verdicts, for any --jobs value. Exit status: 0 all programs agreed,
-   1 at least one divergence, 2 junk flag values.
+   1 at least one divergence, 2 junk flag values or a malformed
+   reproducer (reported as file:line: msg).
 
    A campaign is a Dts_job.Job fuzz batch evaluated through
    Dts_job.Run. *)
@@ -26,7 +28,10 @@ let run_replay ~geoms files =
   let failed = ref false in
   List.iter
     (fun path ->
-      match Dts_fuzz.Driver.replay ~geoms path with
+      match
+        Cli.with_program_errors ~file:path (fun () ->
+            Dts_fuzz.Driver.replay ~geoms path)
+      with
       | Dts_fuzz.Diff.Pass { instret } ->
         Printf.printf "replay %s: PASS (%d instructions)\n" path instret
       | Skip reason ->

@@ -61,10 +61,9 @@ let run_many ~job_of ~optcheck ~workloads ~jobs =
     (List.combine workloads outcomes);
   if List.exists (fun o -> o.Run.exit_code <> 0) outcomes then exit 1
 
-let run workloads file scale budget jobs feasible dif no_compile
-    no_fastpath width height vcache_kb vcache_assoc no_renaming store_list
-    predict_next multicycle show_blocks optcheck trace_file trace_limit
-    stats_json =
+let run workloads file scale budget jobs feasible dif width height
+    vcache_kb vcache_assoc no_renaming store_list predict_next multicycle
+    show_blocks optcheck trace_file trace_limit stats_json =
   Cli.check_positive ~what:"--budget" budget;
   Cli.check_positive ~what:"--scale" scale;
   Cli.check_non_negative ~what:"--jobs" jobs;
@@ -74,8 +73,6 @@ let run workloads file scale budget jobs feasible dif no_compile
     {
       Machine_opts.feasible;
       dif;
-      compile = not no_compile;
-      fastpath = not no_fastpath;
       width;
       height;
       vcache_kb;
@@ -128,8 +125,6 @@ let jobs_doc =
    value."
 let feasible_arg = Arg.(value & flag & info [ "feasible" ] ~doc:"Use the feasible machine of section 4.4")
 let dif_arg = Arg.(value & flag & info [ "dif" ] ~doc:"Simulate the DIF baseline instead")
-let nocompile_arg = Arg.(value & flag & info [ "no-compile" ] ~doc:"Execute cached blocks through the VLIW engine's interpreter instead of install-time-compiled plans (slower; differentially tested to be bit-identical)")
-let nofastpath_arg = Arg.(value & flag & info [ "no-fastpath" ] ~doc:"Run the sequential engines (Primary Processor, golden co-simulation) on the boxed Semantics.exec path instead of the allocation-free packed-op interpreter (slower; differentially tested to be bit-identical)")
 let width_arg = Arg.(value & opt (some int) None & info [ "width" ] ~doc:"Instructions per long instruction")
 let height_arg = Arg.(value & opt (some int) None & info [ "height" ] ~doc:"Long instructions per block")
 let vkb_arg = Arg.(value & opt (some int) None & info [ "vcache-kb" ] ~doc:"VLIW cache size in KB")
@@ -152,8 +147,7 @@ let cmd =
       const run $ workload_arg $ file_arg $ Cli.scale_arg
       $ Cli.budget_arg ()
       $ Cli.jobs_arg ~default:0 ~doc:jobs_doc ()
-      $ feasible_arg $ dif_arg $ nocompile_arg
-      $ nofastpath_arg $ width_arg $ height_arg $ vkb_arg $ vassoc_arg
+      $ feasible_arg $ dif_arg $ width_arg $ height_arg $ vkb_arg $ vassoc_arg
       $ noren_arg $ storelist_arg $ predict_arg $ multicycle_arg $ blocks_arg
       $ optcheck_arg $ trace_arg $ trace_limit_arg $ stats_json_arg)
 

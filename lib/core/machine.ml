@@ -38,10 +38,6 @@ type t = {
   vcache : block Dts_mem.Blockcache.t;
   icache : Dts_mem.Cache.t;
   dcache : Dts_mem.Cache.t;
-  compile : bool;
-      (** compile installed blocks into execution plans (default); [false]
-          interprets the scheduling structures directly — the differential
-          test baseline and debugging escape hatch *)
   plan_cache : (int, Dts_vliw.Plan.t) Hashtbl.t;
       (** block tag -> compiled plan; mirrors VLIW Cache residency (every
           payload drop also drops the plan) *)
@@ -144,7 +140,7 @@ let on_code_write t addr =
         tags
   end
 
-let create ?(compile = true) ?(fastpath = true) ?scheduler ?tracer cfg program =
+let create ?scheduler ?tracer cfg program =
   let st = Dts_asm.Program.boot ~nwindows:cfg.Config.sched.nwindows program in
   let golden_st = Dts_isa.State.copy st in
   let icache = Config.make_cache cfg.icache in
@@ -157,10 +153,10 @@ let create ?(compile = true) ?(fastpath = true) ?scheduler ?tracer cfg program =
     {
       cfg;
       st;
-      golden = Dts_golden.Golden.of_state ~fastpath golden_st;
+      golden = Dts_golden.Golden.of_state golden_st;
       primary =
-        Dts_primary.Primary.create ~timing:cfg.primary_timing ~fastpath
-          ~icache ~dcache st;
+        Dts_primary.Primary.create ~timing:cfg.primary_timing ~icache ~dcache
+          st;
       sched;
       engine =
         Dts_vliw.Engine.create ~scheme:cfg.store_scheme ~tracer:obs.tracer
@@ -170,7 +166,6 @@ let create ?(compile = true) ?(fastpath = true) ?scheduler ?tracer cfg program =
           ~assoc:cfg.vliw_cache.assoc;
       icache;
       dcache;
-      compile;
       plan_cache = Hashtbl.create 256;
       last_plan = None;
       code_index = Hashtbl.create 1024;
@@ -377,31 +372,28 @@ let enter_vliw t block =
     trace t (Trace.Block_fetch { tag = block.tag_addr });
     trace t (Trace.Engine_switch { to_vliw = true; pc = block.tag_addr })
   end;
-  (if t.compile then begin
-     (* lazy compile-on-first-fetch: the physical-equality guard catches a
-        same-tag reinstall whose plan drop raced the pending-queue window.
-        [Hashtbl.find]+[Not_found], not [find_opt]: entering a block must
-        not box an option *)
-     let plan =
-       match t.last_plan with
-       | Some p when p.Dts_vliw.Plan.p_block == block ->
-         t.obs.plan_hits <- t.obs.plan_hits + 1;
-         p
-       | _ ->
-         let plan =
-           match Hashtbl.find t.plan_cache block.tag_addr with
-           | p when p.Dts_vliw.Plan.p_block == block ->
-             t.obs.plan_hits <- t.obs.plan_hits + 1;
-             p
-           | _ -> compile_plan t block
-           | exception Not_found -> compile_plan t block
-         in
-         t.last_plan <- Some plan;
-         plan
-     in
-     Dts_vliw.Engine.enter_plan t.engine plan
-   end
-   else Dts_vliw.Engine.enter_block t.engine block);
+  (* lazy compile-on-first-fetch: the physical-equality guard catches a
+     same-tag reinstall whose plan drop raced the pending-queue window.
+     [Hashtbl.find]+[Not_found], not [find_opt]: entering a block must not
+     box an option *)
+  let plan =
+    match t.last_plan with
+    | Some p when p.Dts_vliw.Plan.p_block == block ->
+      t.obs.plan_hits <- t.obs.plan_hits + 1;
+      p
+    | _ ->
+      let plan =
+        match Hashtbl.find t.plan_cache block.tag_addr with
+        | p when p.Dts_vliw.Plan.p_block == block ->
+          t.obs.plan_hits <- t.obs.plan_hits + 1;
+          p
+        | _ -> compile_plan t block
+        | exception Not_found -> compile_plan t block
+      in
+      t.last_plan <- Some plan;
+      plan
+  in
+  Dts_vliw.Engine.enter_plan t.engine plan;
   (* one [M_vliw] record is allocated on the first switch and then reused:
      block transitions are the steady state of the simulator *)
   match t.vmode with

@@ -37,9 +37,6 @@ type t = {
   vcache : Dts_sched.Schedtypes.block Dts_mem.Blockcache.t;  (** VLIW Cache *)
   icache : Dts_mem.Cache.t;
   dcache : Dts_mem.Cache.t;
-  compile : bool;
-      (** execute VLIW Cache hits through compiled plans (default) or the
-          engine's interpreter ([~compile:false]) *)
   plan_cache : (int, Dts_vliw.Plan.t) Hashtbl.t;
       (** block tag -> compiled plan; mirrors VLIW Cache residency *)
   mutable last_plan : Dts_vliw.Plan.t option;
@@ -69,8 +66,6 @@ type t = {
 }
 
 val create :
-  ?compile:bool ->
-  ?fastpath:bool ->
   ?scheduler:(unit -> scheduler_iface) ->
   ?tracer:Dts_obs.Trace.t ->
   Config.t ->
@@ -79,15 +74,10 @@ val create :
 (** Boot [program] into a fresh machine. [scheduler] overrides the default
     DTSVLIW Scheduler Unit (used by the DIF baseline); [tracer] (default
     {!Dts_obs.Trace.null}, i.e. disabled) receives the structural events of
-    the run as JSONL. [compile] (default [true]) executes cached blocks
-    through install-time-compiled plans ({!Dts_vliw.Plan}); [~compile:false]
-    falls back to the engine's interpreter — the two are differentially
-    tested to produce identical statistics, registers and memory.
-    [fastpath] (default [true]) runs the sequential engines (Primary
-    Processor and golden co-simulation) on the allocation-free packed-op
-    interpreter; [~fastpath:false] keeps the boxed
-    {!Dts_isa.Semantics.exec} path — also differentially tested
-    identical. *)
+    the run as JSONL. Cached blocks execute through plans
+    ({!Dts_vliw.Plan}) compiled on first fetch; the sequential engines
+    (Primary Processor and golden co-simulation) run the allocation-free
+    packed-op interpreter. *)
 
 val step : t -> unit
 (** One simulation step: one Primary instruction or one long instruction.

@@ -1,8 +1,9 @@
 (** Multi-engine differential runner.
 
     One generated program is executed on every engine family of the
-    repository — Golden (the reference), the Primary Processor alone, the
-    DTSVLIW machine interpreted and through compiled plans on the ideal and
+    repository — Golden (the reference), the boxed ISA reference
+    ({!run_golden_boxed}), the Primary Processor alone, the DTSVLIW machine
+    with the greedy and the optimal-oracle schedulers on the ideal and
     feasible geometries, and the DIF baseline — and the final architectural
     states are compared: registers and flags ({!Dts_isa.State.regs_equal}),
     memory ({!Dts_mem.Memory.equal}) and the architectural instruction
@@ -12,9 +13,9 @@
     golden model and raise {!Dts_core.Machine.Test_mode_mismatch} at the
     first divergent synchronisation point; the runner additionally
     localises divergences to a first divergent PC — by step-lockstep replay
-    against a fresh golden machine for the Primary, and by re-running the
-    machine with [memcmp_interval = 1] (a full memory comparison at every
-    sync point) for the block engines. *)
+    against a fresh golden machine for the sequential engines, and by
+    re-running the machine with [memcmp_interval = 1] (a full memory
+    comparison at every sync point) for the block engines. *)
 
 open Dts_isa
 
@@ -64,6 +65,43 @@ let run_golden program ~fuel =
   | exception Semantics.Fatal_fault m -> Fault ("Fatal_fault: " ^ m)
   | exception e -> Fault (Printexc.to_string e)
 
+(* One instruction of the boxed ISA reference: decode straight from memory
+   ({!Encode.fetch}, bypassing the predecode store and the packed micro-op
+   form), then {!Semantics.exec} -> {!Semantics.service_and_exec} ->
+   {!Semantics.apply}. [false] once [Halt] has retired. *)
+let boxed_step (st : State.t) =
+  let pc = st.pc in
+  match Encode.fetch st.mem ~addr:pc with
+  | Instr.Halt ->
+    st.halted <- true;
+    st.instret <- st.instret + 1;
+    false
+  | instr ->
+    let out = Semantics.exec st ~cwp:st.cwp ~pc instr in
+    let out =
+      match out.trap with
+      | None -> out
+      | Some trap -> Semantics.service_and_exec st ~cwp:st.cwp ~pc instr trap
+    in
+    Semantics.apply st out;
+    true
+
+(** Run the boxed ISA reference on [st] until [Halt] or until [fuel]
+    instructions (the halt included) have retired — {!Dts_golden.Golden.run}'s
+    budget, on the descriptive [outcome] path no production engine uses. It
+    is the independent check of the packed {!Semantics.exec_into} path every
+    engine runs. *)
+let run_boxed st ~fuel =
+  let rec go n = if n > 0 && boxed_step st then go (n - 1) in
+  go fuel
+
+let run_golden_boxed program ~fuel =
+  let st = Dts_asm.Program.boot program in
+  match run_boxed st ~fuel with
+  | () -> if st.halted then Finished { st; instret = st.instret } else Timeout
+  | exception Semantics.Fatal_fault m -> Fault ("Fatal_fault: " ^ m)
+  | exception e -> Fault (Printexc.to_string e)
+
 let run_primary program ~fuel =
   let st = Dts_asm.Program.boot program in
   let p =
@@ -82,9 +120,9 @@ let finish_machine (m : Dts_core.Machine.t) =
     Finished { st = m.st; instret = (Dts_core.Machine.stats m).instructions }
   else Timeout
 
-let run_machine ~compile ?scheduler ~cfg program ~fuel =
+let run_machine ?scheduler ~cfg program ~fuel =
   match
-    let m = Dts_core.Machine.create ~compile ?scheduler cfg program in
+    let m = Dts_core.Machine.create ?scheduler cfg program in
     ignore (Dts_core.Machine.run ~max_instructions:fuel m);
     m
   with
@@ -108,18 +146,17 @@ let run_dif ~cfg program ~fuel =
 
 (* ---------- first-divergent-PC localisation ---------- *)
 
-(** Step-lockstep replay: a fresh golden machine and a fresh Primary advance
-    one instruction at a time; the first step after which the two
-    architectural states disagree (or one halts and the other does not)
-    names the divergent PC. *)
-let lockstep_primary program ~fuel =
+(** Step-lockstep replay: a fresh golden machine and a fresh sequential
+    engine advance one instruction at a time; the first step after which
+    the two architectural states disagree (or one halts and the other does
+    not) names the divergent PC. [start st] boots the engine on state [st]
+    and returns its step function, which answers whether the program
+    stopped. *)
+let lockstep ~start program ~fuel =
   let stg = Dts_asm.Program.boot program in
-  let stp = Dts_asm.Program.boot program in
+  let ste = Dts_asm.Program.boot program in
   let g = Dts_golden.Golden.of_state stg in
-  let p =
-    Dts_primary.Primary.create ~icache:(perfect_cache ())
-      ~dcache:(perfect_cache ()) stp
-  in
+  let step = start ste in
   let res = ref None in
   (try
      for _ = 1 to fuel do
@@ -130,15 +167,8 @@ let lockstep_primary program ~fuel =
            false
          with Dts_golden.Golden.Program_halted -> true
        in
-       let phalt =
-         try
-           ignore (Dts_primary.Primary.step p);
-           false
-         with
-         | Dts_primary.Primary.Halted -> true
-         | Semantics.Fatal_fault _ -> true
-       in
-       if ghalt <> phalt || not (State.regs_equal stg stp) then begin
+       let ehalt = try step () with Semantics.Fatal_fault _ -> true in
+       if ghalt <> ehalt || not (State.regs_equal stg ste) then begin
          res := Some pc;
          raise Exit
        end;
@@ -147,12 +177,25 @@ let lockstep_primary program ~fuel =
    with Exit -> ());
   !res
 
+let lockstep_primary =
+  lockstep ~start:(fun st ->
+      let p =
+        Dts_primary.Primary.create ~icache:(perfect_cache ())
+          ~dcache:(perfect_cache ()) st
+      in
+      fun () ->
+        match Dts_primary.Primary.step p with
+        | _ -> false
+        | exception Dts_primary.Primary.Halted -> true)
+
+let lockstep_boxed = lockstep ~start:(fun st () -> not (boxed_step st))
+
 (** Re-run a machine engine with a full memory comparison at every
     synchronisation point; the mismatch exception then carries the PC of
     the first divergent sync. *)
-let localize_machine ~compile ?scheduler ~cfg program ~fuel =
+let localize_machine ?scheduler ~cfg program ~fuel =
   let cfg = { cfg with Dts_core.Config.memcmp_interval = 1 } in
-  match run_machine ~compile ?scheduler ~cfg program ~fuel with
+  match run_machine ?scheduler ~cfg program ~fuel with
   | Mismatch { pc; _ } -> Some pc
   | _ -> None
 
@@ -183,44 +226,39 @@ let engines (geoms : geoms) : engine list =
   in
   let dif_cfg = Dts_dif.Dif.fig9_machine_cfg () in
   {
-    e_name = "primary";
-    e_run = run_primary;
-    e_localize = (fun p ~fuel -> lockstep_primary p ~fuel);
+    e_name = "golden-boxed";
+    e_run = run_golden_boxed;
+    e_localize = lockstep_boxed;
   }
+  :: {
+       e_name = "primary";
+       e_run = run_primary;
+       e_localize = lockstep_primary;
+     }
   :: List.concat_map
        (fun (gname, cfg) ->
-         List.map
-           (fun compile ->
-             {
-               e_name =
-                 Printf.sprintf "dtsvliw-%s-%s"
-                   (if compile then "compiled" else "interpreted")
-                   gname;
-               e_run = (fun p ~fuel -> run_machine ~compile ~cfg p ~fuel);
-               e_localize =
-                 (fun p ~fuel -> localize_machine ~compile ~cfg p ~fuel);
-             })
-           [ false; true ]
-         (* The optimality-oracle backend: every block the Scheduler Unit
-            finishes is replaced by the branch-and-bound oracle's best
-            schedule (rebuilt, tags recomputed, independently re-checked)
-            before installation, so the machine executes oracle schedules
-            under golden co-simulation. A modelling error in the oracle
-            surfaces as a test-mode mismatch, a failed invariant check
-            (Fault), or a final-state divergence. Interpreted execution
-            only — the plan compiler has its own differential engines. *)
-         @ [
-             (let scheduler = Dts_opt.Opt.rescheduling_scheduler cfg in
-              {
-                e_name = Printf.sprintf "dtsvliw-opt-%s" gname;
-                e_run =
-                  (fun p ~fuel ->
-                    run_machine ~compile:false ~scheduler ~cfg p ~fuel);
-                e_localize =
-                  (fun p ~fuel ->
-                    localize_machine ~compile:false ~scheduler ~cfg p ~fuel);
-              });
-           ])
+         [
+           {
+             e_name = Printf.sprintf "dtsvliw-compiled-%s" gname;
+             e_run = (fun p ~fuel -> run_machine ~cfg p ~fuel);
+             e_localize = (fun p ~fuel -> localize_machine ~cfg p ~fuel);
+           };
+           (* The optimality-oracle backend: every block the Scheduler Unit
+              finishes is replaced by the branch-and-bound oracle's best
+              schedule (rebuilt, tags recomputed, independently re-checked)
+              before installation, so the machine executes oracle schedules
+              — through compiled plans, like every DTSVLIW run — under
+              golden co-simulation. A modelling error in the oracle
+              surfaces as a test-mode mismatch, a failed invariant check
+              (Fault), or a final-state divergence. *)
+           (let scheduler = Dts_opt.Opt.rescheduling_scheduler cfg in
+            {
+              e_name = Printf.sprintf "dtsvliw-opt-%s" gname;
+              e_run = (fun p ~fuel -> run_machine ~scheduler ~cfg p ~fuel);
+              e_localize =
+                (fun p ~fuel -> localize_machine ~scheduler ~cfg p ~fuel);
+            });
+         ])
        cfgs
   @ [
       {

@@ -5,51 +5,30 @@
     in test mode, and (b) count the number of instructions needed for the
     sequential execution of a program, which is the numerator of the paper's
     instructions-per-cycle metric (a DTSVLIW alone cannot provide it because
-    of copy instructions and speculation, §4). *)
+    of copy instructions and speculation, §4).
+
+    Instructions execute as packed micro-ops into a preallocated outcome
+    buffer — zero allocation per instruction. *)
 
 exception Program_halted
 
 type t = {
   st : Dts_isa.State.t;
-  buf : Dts_isa.Semantics.outcome_buf;
-      (** scratch for the allocation-free path; dead on the boxed path *)
-  fastpath : bool;
+  buf : Dts_isa.Semantics.outcome_buf;  (** per-instruction outcome scratch *)
 }
 
-let create ?(nwindows = 32) ?mem ?(fastpath = true) () =
+let create ?(nwindows = 32) ?mem () =
   {
     st = Dts_isa.State.create ~nwindows ?mem ();
     buf = Dts_isa.Semantics.make_buf ();
-    fastpath;
   }
 
-let of_state ?(fastpath = true) st =
-  { st; buf = Dts_isa.Semantics.make_buf (); fastpath }
+let of_state st = { st; buf = Dts_isa.Semantics.make_buf () }
 
 let state t = t.st
 
-(* the reference path: boxed outcomes through Semantics.exec — kept as the
-   differential oracle for the fast path below *)
-let step_ref t =
-  let st = t.st in
-  let pc = st.pc in
-  let instr = Dts_isa.Predecode.fetch st.predecode ~addr:pc in
-  if instr = Dts_isa.Instr.Halt then begin
-    st.halted <- true;
-    st.instret <- st.instret + 1;
-    raise Program_halted
-  end;
-  let out = Dts_isa.Semantics.exec st ~cwp:st.cwp ~pc instr in
-  let out =
-    match out.trap with
-    | None -> out
-    | Some trap -> Dts_isa.Semantics.service_and_exec st ~cwp:st.cwp ~pc instr trap
-  in
-  Dts_isa.Semantics.apply st out
-
-(* the fast path: packed micro-ops executed into the preallocated buffer —
-   zero allocation per instruction *)
-let step_fast t =
+(* one instruction, without the halted-state test [step] adds *)
+let step_unchecked t =
   let st = t.st in
   let pc = st.pc in
   let u = Dts_isa.Predecode.fetch_uop st.predecode ~addr:pc in
@@ -67,7 +46,7 @@ let step_fast t =
 (** Execute exactly one instruction. Raises {!Program_halted} on [Halt]. *)
 let step t =
   if t.st.halted then raise Program_halted;
-  if t.fastpath then step_fast t else step_ref t
+  step_unchecked t
 
 (** Run until [Halt] or until [max_instructions] more instructions have
     retired; returns the number retired by this call. *)
@@ -76,17 +55,12 @@ let run ?max_instructions t =
   let st = t.st in
   let start = st.instret in
   let stop = if budget > max_int - start then max_int else start + budget in
-  (* halt test and path dispatch hoisted out of the loop, as in
-     {!advance_to_pc} *)
+  (* halt test hoisted out of the loop, as in {!advance_to_pc} *)
   (try
      if st.halted then raise Program_halted
-     else if t.fastpath then
-       while st.instret < stop do
-         step_fast t
-       done
      else
        while st.instret < stop do
-         step_ref t
+         step_unchecked t
        done
    with Program_halted -> ());
   st.instret - start
@@ -110,26 +84,16 @@ let run_until_pc ?(fuel = 10_000_000) t ~pc =
 
 (** Advance to the next occurrence of [pc] (a no-op if already there),
     stopping early on halt or when [fuel] runs out; returns the unspent
-    fuel. The inner loop is the test-mode sync hot path: on the fast path
-    it runs {!step_fast} directly — one exception handler around the whole
-    run instead of a handler, a halt test and a dispatch per step. *)
+    fuel. The inner loop is the test-mode sync hot path: it runs
+    {!step_unchecked} directly — one exception handler around the whole
+    run instead of a handler and a halt test per step. *)
 let advance_to_pc t ~pc ~fuel =
   let st = t.st in
   let fuel = ref fuel in
-  if t.fastpath then begin
-    try
-      while st.pc <> pc && not st.halted && !fuel > 0 do
-        step_fast t;
-        decr fuel
-      done
-    with Program_halted -> decr fuel
-  end
-  else begin
-    try
-      while st.pc <> pc && not st.halted && !fuel > 0 do
-        step_ref t;
-        decr fuel
-      done
-    with Program_halted -> decr fuel
-  end;
+  (try
+     while st.pc <> pc && not st.halted && !fuel > 0 do
+       step_unchecked t;
+       decr fuel
+     done
+   with Program_halted -> decr fuel);
   !fuel

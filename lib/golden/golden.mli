@@ -9,14 +9,13 @@ exception Program_halted
 
 type t
 
-val create : ?nwindows:int -> ?mem:Dts_mem.Memory.t -> ?fastpath:bool -> unit -> t
-(** A fresh machine; [nwindows] defaults to 32. [fastpath] (default [true])
-    selects the allocation-free packed-op interpreter
-    ({!Dts_isa.Semantics.exec_into}); [false] keeps the boxed
-    {!Dts_isa.Semantics.exec} path, retained as the differential oracle.
-    Both paths are observationally identical. *)
+val create : ?nwindows:int -> ?mem:Dts_mem.Memory.t -> unit -> t
+(** A fresh machine; [nwindows] defaults to 32. It runs the
+    allocation-free packed-op interpreter
+    ({!Dts_isa.Semantics.exec_into}); the boxed {!Dts_isa.Semantics.exec}
+    is the test-side reference it is checked against. *)
 
-val of_state : ?fastpath:bool -> Dts_isa.State.t -> t
+val of_state : Dts_isa.State.t -> t
 (** Wrap an existing architectural state (used by the co-simulation, which
     boots two identical states and hands one to the golden machine). *)
 

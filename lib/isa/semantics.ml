@@ -4,9 +4,16 @@
     the golden test machine, the Primary Processor, and the VLIW Engine. The
     VLIW Engine needs effects {e described} rather than applied (it buffers
     all writes of a long instruction and redirects renamed destinations), so
-    {!exec} is split from {!apply}.
+    execution is split from application.
 
-    [exec] takes the window pointer explicitly: in VLIW mode an instruction
+    Two forms implement the same semantics. The engines run the packed form
+    ({!exec_into} / {!exec_into_ov} into an {!outcome_buf}, then
+    {!apply_buf}), which allocates nothing. The boxed form ({!exec}, then
+    {!apply}) describes effects as an {!outcome} record; no engine uses it,
+    and it stays as the independent ISA reference the tests and the
+    fuzzer's [golden-boxed] engine check the packed form against.
+
+    Both take the window pointer explicitly: in VLIW mode an instruction
     executes with the cwp value observed when it was scheduled, which may
     differ from the architectural cwp at the start of its long instruction
     (§3.9 — "the value of the cwp register accompanies the instructions"). *)
@@ -220,45 +227,14 @@ let no_effect ~pc =
 
 let trap_outcome ~pc t = { (no_effect ~pc) with trap = Some t }
 
-(** Read overrides: how the VLIW Engine forwards renamed sources (§3.2) and
-    serves loads from the data store list (§3.11) without the sequential
-    engines paying for it. Overrides are keyed directly by physical integer
-    register index / fp register index / the flags, so probing one is an
-    integer comparison — no [Storage.t] value is boxed per register read.
-    [None] from an override means "read the architectural state". *)
-type read_ov = {
-  ov_phys : int -> int option;  (** physical integer register index *)
-  ov_freg : int -> int option;
-  ov_icc : unit -> int option;
-  ov_mem : addr:int -> size:int -> signed:bool -> int option;
-}
-
-(** The identity override (reads architectural state only). Statically
-    allocated: the sequential engines' [exec] calls share it, so the
-    default costs nothing per instruction. *)
-let no_ov =
-  {
-    ov_phys = (fun _ -> None);
-    ov_freg = (fun _ -> None);
-    ov_icc = (fun () -> None);
-    ov_mem = (fun ~addr:_ ~size:_ ~signed:_ -> None);
-  }
-
 (** Describe the effects of executing [instr] at [pc] with window pointer
     [cwp], reading the current state (including memory for loads) but
     mutating nothing. A [Some _] trap means the instruction did not execute;
     {!service_and_exec} runs the microroutine and retries. *)
-let exec ?(ov = no_ov) st ~cwp ~pc (instr : Instr.t) =
-  let reg r =
-    if r = 0 then 0
-    else
-      let p = State.phys_of st ~cwp r in
-      match ov.ov_phys p with Some v -> v | None -> st.State.iregs.(p)
-  in
-  let freg f =
-    match ov.ov_freg f with Some v -> v | None -> st.State.fregs.(f)
-  in
-  let icc () = match ov.ov_icc () with Some v -> v | None -> st.State.icc in
+let exec st ~cwp ~pc (instr : Instr.t) =
+  let reg r = if r = 0 then 0 else st.State.iregs.(State.phys_of st ~cwp r) in
+  let freg f = st.State.fregs.(f) in
+  let icc () = st.State.icc in
   let opval (op2 : Instr.operand) =
     match op2 with Reg r -> reg r | Imm i -> i
   in
@@ -281,11 +257,7 @@ let exec ?(ov = no_ov) st ~cwp ~pc (instr : Instr.t) =
     if addr land (bytes - 1) <> 0 then trap_outcome ~pc (Misaligned addr)
     else
       let signed = match size with Lsb | Lsh | Lw -> true | Lub | Luh -> false in
-      let v =
-        match ov.ov_mem ~addr ~size:bytes ~signed with
-        | Some v -> v
-        | None -> Dts_mem.Memory.read st.State.mem ~addr ~size:bytes ~signed
-      in
+      let v = Dts_mem.Memory.read st.State.mem ~addr ~size:bytes ~signed in
       { (no_effect ~pc) with writes = wreg rd v; load = Some (addr, bytes) }
   | Store { size; rs; rs1; op2 } ->
     let addr = u32 (reg rs1 + opval op2) in
@@ -296,11 +268,7 @@ let exec ?(ov = no_ov) st ~cwp ~pc (instr : Instr.t) =
     let addr = u32 (reg rs1 + opval op2) in
     if addr land 3 <> 0 then trap_outcome ~pc (Misaligned addr)
     else
-      let v =
-        match ov.ov_mem ~addr ~size:4 ~signed:true with
-        | Some v -> v
-        | None -> Dts_mem.Memory.read st.State.mem ~addr ~size:4 ~signed:true
-      in
+      let v = Dts_mem.Memory.read st.State.mem ~addr ~size:4 ~signed:true in
       { (no_effect ~pc) with writes = [ W_freg (rd, v) ]; load = Some (addr, 4) }
   | Fstore { rd; rs1; op2 } ->
     let addr = u32 (reg rs1 + opval op2) in
@@ -413,10 +381,9 @@ let service_and_exec st ~cwp ~pc instr trap =
     immediately and never rename anything, so they do not need the
     descriptive form: {!exec_into} executes a packed {!Uop} micro-op into a
     preallocated mutable {!outcome_buf} instead, allocating nothing. The two
-    paths implement the same semantics — {!exec} is kept as the VLIW
-    engine's API {e and} as the differential oracle ([test/test_fastpath.ml]
-    proves bit-identical end states on every workload and the fuzz
-    corpus). *)
+    forms implement the same semantics — {!exec} is kept as the independent
+    reference (the test suite and the fuzzer check bit-identical end
+    states on every workload and the fuzz corpus). *)
 
 (** Mutable per-engine scratch for one instruction's effects: fixed slots
     instead of a [write list], validity encoded in-band ([-1] = no register
@@ -498,10 +465,12 @@ let trap_of_buf b =
     real register, flag or loaded value. *)
 let no_val = min_int
 
-(** Unboxed counterpart of {!read_ov}: overrides answer with the value or
-    {!no_val}, never a [Some] box. The VLIW plan executor forwards renamed
-    sources and data-store-list bytes through this; the sequential engines
-    pass [None] and pay one branch per read. *)
+(** Read overrides: how the VLIW plan executor forwards renamed sources
+    (§3.2) and serves loads from the data store list (§3.11). Overrides are
+    keyed by physical integer register index / fp register index / the
+    flags and answer with the value or {!no_val} ("read the architectural
+    state"), never a [Some] box. The sequential engines pass [None] and pay
+    one branch per read. *)
 type read_ov_fast = {
   ovf_phys : int -> int;  (** physical integer register index -> value *)
   ovf_freg : int -> int;

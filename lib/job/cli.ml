@@ -47,12 +47,15 @@ let geoms_of_config config =
   | None -> die "unknown --config %s (expected all, ideal or feasible)" config
 
 (** Run [f ()], which loads the program file [file]. A malformed program
-    — an assembler, tinyc lexer, parser or code-generator error — prints
-    ["file:line: msg"] (just ["file: msg"] for code-generator errors,
-    which carry no line) and exits {!usage_error}. *)
+    — an assembler, tinyc lexer, parser or code-generator error, or a
+    malformed [.srisc] reproducer — prints ["file:line: msg"] (just
+    ["file: msg"] for code-generator errors, which carry no line) and exits
+    {!usage_error}. *)
 let with_program_errors ~file f =
   try f () with
-  | Dts_asm.Assembler.Error { line; msg } -> die "%s:%d: %s" file line msg
+  | Dts_asm.Assembler.Error { line; msg }
+  | Dts_fuzz.Repro.Parse_error { line; msg } ->
+    die "%s:%d: %s" file line msg
   | Dts_tinyc.Lexer.Error { line; msg } ->
     die "%s:%d: lexical error: %s" file line msg
   | Dts_tinyc.Parser.Error { line; msg } ->

@@ -6,8 +6,6 @@
 type t = {
   feasible : bool;  (** start from the §4.4 feasible machine *)
   dif : bool;  (** simulate the DIF baseline instead of DTSVLIW *)
-  compile : bool;  (** install-time block compilation (PR 4) *)
-  fastpath : bool;  (** packed-op sequential interpreter (PR 6) *)
   width : int option;  (** instructions per long instruction *)
   height : int option;  (** long instructions per block *)
   vcache_kb : int option;
@@ -22,8 +20,6 @@ let default =
   {
     feasible = false;
     dif = false;
-    compile = true;
-    fastpath = true;
     width = None;
     height = None;
     vcache_kb = None;

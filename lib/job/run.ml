@@ -139,10 +139,7 @@ let run_workload ?tracer ?(optcheck = false) ~budget ~scale ~source
         end
         else (None, None)
       in
-      let m =
-        Dts_core.Machine.create ~compile:machine.compile
-          ~fastpath:machine.fastpath ?scheduler ?tracer cfg program
-      in
+      let m = Dts_core.Machine.create ?scheduler ?tracer cfg program in
       let n = Dts_core.Machine.run ~max_instructions:budget m in
       stats_text buf m n;
       (match captured with

@@ -44,17 +44,14 @@ type t
 
 val create :
   ?timing:timing ->
-  ?fastpath:bool ->
   icache:Dts_mem.Cache.t ->
   dcache:Dts_mem.Cache.t ->
   Dts_isa.State.t ->
   t
 (** A Primary Processor over a shared architectural state — the DTSVLIW's
-    engines share the register file and data cache ports (§3.6).
-    [fastpath] (default [true]) selects the allocation-free packed-op
-    interpreter ({!Dts_isa.Semantics.exec_into}); [false] keeps the boxed
-    {!Dts_isa.Semantics.exec} path, retained as the differential oracle.
-    The two paths retire identical records. *)
+    engines share the register file and data cache ports (§3.6). It runs
+    the allocation-free packed-op interpreter
+    ({!Dts_isa.Semantics.exec_into}). *)
 
 exception Halted
 
@@ -69,8 +66,8 @@ val step : t -> retired
 
 val run : ?max_instructions:int -> t -> int
 (** Run until [Halt] or the budget, skipping retirement-record
-    construction; returns instructions retired by this call. On the fast
-    path this allocates nothing per instruction. Timing accounting is
+    construction; returns instructions retired by this call. This
+    allocates nothing per instruction. Timing accounting is
     identical to repeated {!step} (see {!total_cycles}). *)
 
 val total_cycles : t -> int

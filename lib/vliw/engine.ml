@@ -13,18 +13,13 @@
     detected with order fields (§3.10), and exceptions use block-granularity
     checkpointing (§3.11).
 
-    Two execution paths share the same per-block state and semantics:
-
-    - the {e plan executor} ({!enter_plan}) runs a block pre-compiled by
-      {!Plan} — per-op association lists are already resolved to arrays and
-      the per-cycle working set (renaming-register arena, buffered
-      write/store vectors, checkpoint shadow, recovery log, data store
-      list) lives in preallocated, growable scratch storage reused across
-      blocks, so steady-state execution allocates nothing;
-    - the {e interpreter} ({!enter_block}) walks the block's scheduling
-      structures directly. It is the reference the differential tests
-      compare the plan executor against, and the [?compile:false] escape
-      hatch of {!Dts_core.Machine.create}. *)
+    Blocks execute from the plans {!Plan} compiles them into ({!enter_plan}
+    then {!exec_li}): per-op association lists are already resolved to
+    arrays, window-shifted replays select a per-delta variant, and the
+    per-cycle working set (renaming-register arena, buffered write/store
+    vectors, checkpoint shadow, recovery log, data store list) lives in
+    preallocated, growable scratch storage reused across blocks, so
+    steady-state execution allocates nothing. *)
 
 open Dts_sched.Schedtypes
 
@@ -124,9 +119,7 @@ type t = {
           cwp (mod nwindows), applied to every baked cwp and physical
           register position *)
   (* ---- plan-execution scratch, reused across cycles and blocks ---- *)
-  mutable plan_on : bool;
-      (** set while replaying a compiled plan ([plan_v]); clear interprets *)
-  mutable plan_v : Plan.variant;
+  mutable plan_v : Plan.variant;  (** the variant of the entered block *)
   mutable bufs : Dts_isa.Semantics.outcome_buf array;
       (** phase-1 results, indexed like the current pli's op array *)
   (* buffered register/flag/window writes as unboxed parallel arrays:
@@ -203,10 +196,6 @@ let dsl_read_fast t ~addr ~size ~signed =
     end
   end
 
-let dsl_read t ~addr ~size ~signed =
-  let v = dsl_read_fast t ~addr ~size ~signed in
-  if v = Dts_isa.Semantics.no_val then None else Some v
-
 let create ?(scheme = Checkpoint_recovery) ?(tracer = Dts_obs.Trace.null)
     ~dcache st =
   let t =
@@ -233,7 +222,6 @@ let create ?(scheme = Checkpoint_recovery) ?(tracer = Dts_obs.Trace.null)
       dsl_bytes = Hashtbl.create 64;
       mem_log = Aliaslog.create ();
       wdelta = 0;
-      plan_on = false;
       plan_v = { Plan.v_wdelta = 0; v_lis = [||] };
       bufs = [||];
       bw_kind = [||];
@@ -306,14 +294,6 @@ let push_bw t kind a bv =
   t.bw_a.(t.bw_n) <- a;
   t.bw_b.(t.bw_n) <- bv;
   t.bw_n <- t.bw_n + 1
-
-(* interpreter-side shim: decompose a boxed {!Dts_isa.Semantics.write} *)
-let push_write t (w : Dts_isa.Semantics.write) =
-  match w with
-  | W_phys (p, v) -> push_bw t wk_phys p v
-  | W_freg (f, v) -> push_bw t wk_freg f v
-  | W_icc v -> push_bw t wk_icc 0 v
-  | W_win (cwp, depth) -> push_bw t wk_win cwp depth
 
 let push_bs t addr size v order =
   if t.bs_n >= Array.length t.bs_addr then begin
@@ -406,11 +386,6 @@ let reset_for_block t (block : block) =
       done
   done
 
-(** Enter [block] in interpreter mode. *)
-let enter_block t (block : block) =
-  reset_for_block t block;
-  t.plan_on <- false
-
 (** Enter the block compiled into [plan], selecting (or lazily building)
     the variant for the current window delta. *)
 let enter_plan t (plan : Plan.t) =
@@ -426,7 +401,6 @@ let enter_plan t (plan : Plan.t) =
      if fresh then t.stats.wdelta_variants <- t.stats.wdelta_variants + 1;
      t.plan_v <- v
    end);
-  t.plan_on <- true;
   if Array.length t.bufs < block.max_li_ops then
     t.bufs <-
       Array.init
@@ -466,13 +440,6 @@ let rollback t =
   Aliaslog.clear t.mem_log;
   t.stats.block_exceptions <- t.stats.block_exceptions + 1
 
-(* window-relative replay: shift a baked window pointer / physical integer
-   register position by the block-entry window delta *)
-let shift_cwp t cwp = (cwp + t.wdelta) mod t.st.nwindows
-
-let shift_pos t (pos : Dts_isa.Storage.t) : Dts_isa.Storage.t =
-  Plan.shift_pos ~nwindows:t.st.nwindows ~wdelta:t.wdelta pos
-
 exception Alias_violation = Aliaslog.Alias_violation
 exception Block_trap of Dts_isa.Semantics.trap
 
@@ -487,12 +454,6 @@ let log_mem t ~addr ~size ~order ~li ~is_store ~cross =
     else
       t.stats.max_load_list <-
         max t.stats.max_load_list (Aliaslog.cross_loads t.mem_log)
-
-let storage_of_write : Dts_isa.Semantics.write -> Dts_isa.Storage.t = function
-  | W_phys (p, _) -> Int_reg p
-  | W_freg (f, _) -> Fp_reg f
-  | W_icc _ -> Flags
-  | W_win _ -> Win
 
 (* Record the value about to be overwritten at register-undo index [idx]
    ([n_iregs + f] for an freg), growing the log on demand (rare: its
@@ -511,8 +472,8 @@ let push_undo t idx old =
   Array.unsafe_set t.undo_val n old;
   t.undo_n <- n + 1
 
-(* phase 4, shared by both executors: apply buffered register writes in
-   push order, then route buffered stores through the active store scheme *)
+(* phase 4: apply buffered register writes in push order, then route
+   buffered stores through the active store scheme *)
 let apply_buffered t =
   let st = t.st in
   for i = 0 to t.bw_n - 1 do
@@ -626,7 +587,7 @@ let exec_li_plan t (block : block) (v : Plan.variant) idx :
      order {!Dts_isa.Semantics.exec}'s [writes] list applies them (icc
      before the destination register for flag-setting ALU ops, destination
      register before the window movement for save/restore), so the buffered
-     sequence is identical to the interpreter's. *)
+     sequence applies exactly as the sequential engines would. *)
   t.bw_n <- 0;
   t.bs_n <- 0;
   try
@@ -745,188 +706,15 @@ let exec_li_plan t (block : block) (v : Plan.variant) idx :
     rollback t;
     R_exn (E_trap tr)
 
-(* ------------------------------------------------------------------ *)
-(* Interpreter                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let exec_li_interp t (block : block) idx : li_result =
-  let st = t.st in
-  let li = block.lis.(idx) in
-  (* phase 1: compute outcomes for every op, reading pre-li state *)
-  let entries =
-    li_fold
-      (fun acc _k op tag ->
-        match op with
-        | Op s ->
-          (* forwarded sources read their renaming register (§3.2); the
-             positions semantics asks about are window-shifted, so shift the
-             baked substitution keys the same way *)
-          let subs =
-            if t.wdelta = 0 then s.subs
-            else List.map (fun (p, rr) -> (shift_pos t p, rr)) s.subs
-          in
-          let lookup pos =
-            match List.assoc_opt pos subs with
-            | Some rr -> Some (rr_of t rr).v
-            | None -> None
-          in
-          let ov =
-            {
-              Dts_isa.Semantics.ov_phys =
-                (fun p -> lookup (Dts_isa.Storage.Int_reg p));
-              ov_freg = (fun f -> lookup (Dts_isa.Storage.Fp_reg f));
-              ov_icc = (fun () -> lookup Dts_isa.Storage.Flags);
-              ov_mem = (fun ~addr ~size ~signed -> dsl_read t ~addr ~size ~signed);
-            }
-          in
-          let out =
-            Dts_isa.Semantics.exec ~ov st ~cwp:(shift_cwp t s.cwp) ~pc:s.addr
-              s.instr
-          in
-          (op, tag, Some (s, out)) :: acc
-        | Copy _ -> (op, tag, None) :: acc)
-      [] li
-    |> List.rev
-  in
-  (* phase 2: find the first mispredicted branch; ops with tag greater than
-     its tag do not commit *)
-  let fail : (int * int) option ref = ref None in
-  (* (tag, actual target) *)
-  List.iter
-    (fun (_, tag, info) ->
-      match info with
-      | Some (s, out) when Dts_isa.Instr.is_conditional_ctrl s.instr ->
-        if out.Dts_isa.Semantics.next_pc <> s.obs_next_pc then (
-          match !fail with
-          | Some (ft, _) when ft <= tag -> ()
-          | _ -> fail := Some (tag, out.next_pc))
-      | _ -> ())
-    entries;
-  let valid tag = match !fail with None -> true | Some (ft, _) -> tag <= ft in
-  (* phase 3: gather effects of valid ops *)
-  t.bw_n <- 0;
-  t.bs_n <- 0;
-  try
-    List.iter
-      (fun (op, tag, info) ->
-        if valid tag then
-          match (op, info) with
-          | Op s, Some (_, out) -> (
-            match out.Dts_isa.Semantics.trap with
-            | Some tr ->
-              (* deferred iff every architectural output is renamed *)
-              if
-                s.redirect <> []
-                && List.for_all
-                     (fun w -> List.mem_assoc w s.redirect)
-                     s.arch_writes
-              then begin
-                List.iter
-                  (fun (_, rr) -> (rr_of t rr).exn <- Some tr)
-                  s.redirect;
-                t.stats.deferred_exceptions <- t.stats.deferred_exceptions + 1
-              end
-              else raise (Block_trap tr)
-            | None ->
-              t.stats.ops_committed <- t.stats.ops_committed + 1;
-              let redirect =
-                if t.wdelta = 0 then s.redirect
-                else List.map (fun (p, rr) -> (shift_pos t p, rr)) s.redirect
-              in
-              List.iter
-                (fun w ->
-                  let pos = storage_of_write w in
-                  match List.assoc_opt pos redirect with
-                  | Some rr ->
-                    let e = rr_of t rr in
-                    (match w with
-                    | W_phys (_, v) | W_freg (_, v) | W_icc v -> e.v <- v
-                    | W_win _ -> invalid_arg "renamed window write");
-                    e.exn <- None
-                  | None -> push_write t w)
-                out.writes;
-              (match out.load with
-              | Some (a, sz) ->
-                t.pen <- t.pen + Dts_mem.Cache.access t.dcache a;
-                log_load t s idx a sz
-              | None -> ());
-              (match out.store with
-              | Some (a, sz, v) -> (
-                (* a renamed store redirects its (single) memory output *)
-                match s.redirect with
-                | (Mem _, rr) :: _ ->
-                  let e = rr_of t rr in
-                  e.m_addr <- a;
-                  e.m_size <- sz;
-                  e.v <- v;
-                  e.exn <- None
-                | _ ->
-                  t.pen <- t.pen + Dts_mem.Cache.access t.dcache a;
-                  log_store t ~order:s.order ~cross:s.cross idx a sz;
-                  push_bs t a sz v s.order)
-              | None -> ()))
-          | Copy c, _ ->
-            t.stats.copies_committed <- t.stats.copies_committed + 1;
-            List.iter
-              (fun (rr, target) ->
-                let src = rr_of t rr in
-                match target with
-                | T_ren dst_ref ->
-                  let dst = rr_of t dst_ref in
-                  dst.v <- src.v;
-                  dst.m_addr <- src.m_addr;
-                  dst.m_size <- src.m_size;
-                  dst.exn <- src.exn
-                | T_arch pos -> (
-                  match src.exn with
-                  | Some tr -> raise (Block_trap tr)
-                  | None -> (
-                    match shift_pos t pos with
-                    | Int_reg p -> push_bw t wk_phys p src.v
-                    | Fp_reg f -> push_bw t wk_freg f src.v
-                    | Flags -> push_bw t wk_icc 0 src.v
-                    | Win -> invalid_arg "renamed window copy"
-                    | Ren _ -> invalid_arg "T_arch to a renaming register"
-                    | Mem _ ->
-                      t.pen <- t.pen + Dts_mem.Cache.access t.dcache src.m_addr;
-                      log_store t ~order:c.c_order ~cross:true idx src.m_addr
-                        src.m_size;
-                      push_bs t src.m_addr src.m_size src.v c.c_order)))
-              c.c_moves
-          | Op _, None -> assert false)
-      entries;
-    (* phase 4: apply buffered effects (reads already done) *)
-    apply_buffered t;
-    match !fail with
-    | Some (_, target) ->
-      t.stats.mispredicts <- t.stats.mispredicts + 1;
-      R_redirect { target }
-    | None ->
-      if idx = block.nba_idx then R_block_end { next_addr = block.nba_addr }
-      else R_next
-  with
-  | Alias_violation ->
-    t.stats.aliasing_exceptions <- t.stats.aliasing_exceptions + 1;
-    if Dts_obs.Trace.enabled t.tracer then
-      Dts_obs.Trace.emit t.tracer
-        (Aliasing_violation { tag = block.tag_addr; li = idx });
-    rollback t;
-    R_exn E_aliasing
-  | Block_trap tr ->
-    rollback t;
-    R_exn (E_trap tr)
-
-(** Execute long instruction [idx] of [block]; the data-cache penalty
-    cycles incurred are left in [t.pen]. On [R_exn] the rollback has
-    already been performed. Dispatches to the plan executor when the block
-    was entered through {!enter_plan}, else interprets. Allocation-free for
-    [R_next] steps — the machine's hot loop reads [t.pen] instead of a
-    result tuple. *)
+(** Execute long instruction [idx] of the block entered through
+    {!enter_plan}; the data-cache penalty cycles incurred are left in
+    [t.pen]. On [R_exn] the rollback has already been performed.
+    Allocation-free for [R_next] steps — the machine's hot loop reads
+    [t.pen] instead of a result tuple. *)
 let exec_li_fast t (block : block) idx : li_result =
   t.stats.lis_executed <- t.stats.lis_executed + 1;
   t.pen <- 0;
-  if t.plan_on then exec_li_plan t block t.plan_v idx
-  else exec_li_interp t block idx
+  exec_li_plan t block t.plan_v idx
 
 (** Tupled wrapper around {!exec_li_fast}: the control outcome plus the
     penalty cycles. *)

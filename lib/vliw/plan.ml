@@ -2,12 +2,12 @@
 
     The paper's premise is that scheduling work is paid {e once}, when the
     trace is scheduled into a block — replaying the block from the VLIW
-    Cache is then cheap. The interpreter in {!Engine} does not honour that:
-    every cycle it re-walks each scheduled op's association lists
-    ([subs]/[redirect]), re-shifts window-relative register positions and
-    re-discovers which ops are conditional branches. This module performs
-    that analysis once per installed block and bakes the result into flat
-    arrays the engine can execute with array probes only.
+    Cache is then cheap. Executing the scheduling structures directly would
+    re-walk each scheduled op's association lists ([subs]/[redirect]),
+    re-shift window-relative register positions and re-discover which ops
+    are conditional branches every cycle. This module performs that
+    analysis once per installed block and bakes the result into flat
+    arrays the engine ({!Engine}) executes with array probes only.
 
     A plan is compiled against a specific window delta ([wdelta]): all
     window-relative integer-register positions in substitution and
@@ -52,8 +52,8 @@ let no_subs =
 (** One slot op, pre-decoded. For an [P_op], the substitution and
     redirection association lists are split by storage kind into parallel
     position/register arrays (probed with integer compares, in list order so
-    first-match semantics are preserved), and the per-op facts the
-    interpreter recomputes each cycle — conditional-control?, trap
+    first-match semantics are preserved), and the per-op facts a direct
+    walk would recompute each cycle — conditional-control?, trap
     deferrable?, store redirected?, execution cwp — are baked in. *)
 type xop = {
   op : sop;
@@ -163,8 +163,8 @@ let build_op ~nwindows ~wdelta (s : sop) =
     | (Dts_isa.Storage.Mem _, rr) :: _ -> Some rr
     | _ -> None
   in
-  (* deferral is decided on the unshifted maps, exactly as the interpreter
-     does — membership is invariant under the uniform window shift *)
+  (* deferral is decided on the unshifted maps — membership is invariant
+     under the uniform window shift *)
   let deferrable =
     s.redirect <> []
     && List.for_all (fun w -> List.mem_assoc w s.redirect) s.arch_writes

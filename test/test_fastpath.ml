@@ -1,104 +1,40 @@
-(* Differential suite for the allocation-free sequential fast path.
+(* The packed execution path against the boxed ISA reference.
 
-   The sequential engines (golden machine and Primary Processor) execute
-   packed micro-ops into a preallocated outcome buffer
-   (Semantics.exec_into); the boxed Semantics.exec path is retained as the
-   differential oracle. This suite pins the equivalence guarantee the docs
-   promise: every workload and every checked-in fuzz reproducer produces
-   bit-identical architectural end state (registers, flags, windows and
-   memory), instruction counts, cycle accounting and Stats on both paths —
-   at the golden level, the Primary level, and through the full DTSVLIW
-   machine (whose test-mode co-simulation itself cross-checks the fast
-   path against the dynamically scheduled execution). *)
+   Every engine executes packed micro-ops into a preallocated outcome
+   buffer (Semantics.exec_into). The boxed Semantics.exec -> apply path is
+   kept only as an independent reference: Dts_fuzz.Diff.run_boxed steps it,
+   decoding straight from memory. This suite checks that the golden
+   machine on the packed path and the boxed reference reach bit-identical
+   end states (registers, flags, windows and memory), instruction and trap
+   counts on every workload and every checked-in fuzz reproducer.
+
+   The Primary Processor and the DTSVLIW machine run the same packed path;
+   their timing and Stats are pinned by test/stats_4000.expected, and the
+   machine's co-simulation checks them against the golden machine. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
-let check_string = Alcotest.(check string)
 
 let workload_names =
   List.map (fun (w : Dts_workloads.Workloads.t) -> w.name)
     Dts_workloads.Workloads.all
 
-(* -------- golden machine, both paths -------- *)
-
-let golden_end ?(budget = 200_000) program fastpath =
-  let st = Dts_asm.Program.boot program in
-  let g = Dts_golden.Golden.of_state ~fastpath st in
-  ignore (Dts_golden.Golden.run ~max_instructions:budget g);
-  st
-
-let check_golden_equivalence ?budget program =
-  let a = golden_end ?budget program true in
-  let b = golden_end ?budget program false in
-  check_int "golden instret" b.Dts_isa.State.instret a.Dts_isa.State.instret;
-  check_int "golden traps" b.Dts_isa.State.traps a.Dts_isa.State.traps;
-  check_bool "golden halted flag" (b.Dts_isa.State.halted)
-    a.Dts_isa.State.halted;
-  check_bool "golden end state (registers + memory)" true
-    (Dts_isa.State.equal a b)
-
-(* -------- Primary Processor, both paths -------- *)
-
-let primary_end ?(budget = 100_000) program fastpath =
-  let st = Dts_asm.Program.boot program in
-  let icache =
-    Dts_mem.Cache.create ~size_bytes:1024 ~line_bytes:16 ~assoc:2
-      ~miss_penalty:6
-  in
-  let dcache =
-    Dts_mem.Cache.create ~size_bytes:1024 ~line_bytes:16 ~assoc:2
-      ~miss_penalty:6
-  in
-  let p = Dts_primary.Primary.create ~fastpath ~icache ~dcache st in
-  ignore (Dts_primary.Primary.run ~max_instructions:budget p);
-  (st, Dts_primary.Primary.total_cycles p, icache, dcache)
-
-let check_primary_equivalence ?budget program =
-  let sta, cyca, ica, dca = primary_end ?budget program true in
-  let stb, cycb, icb, dcb = primary_end ?budget program false in
-  check_int "primary instret" stb.Dts_isa.State.instret
-    sta.Dts_isa.State.instret;
-  check_int "primary cycles" cycb cyca;
-  check_int "primary icache hits" (Dts_mem.Cache.hits icb)
-    (Dts_mem.Cache.hits ica);
-  check_int "primary icache misses" (Dts_mem.Cache.misses icb)
-    (Dts_mem.Cache.misses ica);
-  check_int "primary dcache hits" (Dts_mem.Cache.hits dcb)
-    (Dts_mem.Cache.hits dca);
-  check_int "primary dcache misses" (Dts_mem.Cache.misses dcb)
-    (Dts_mem.Cache.misses dca);
-  check_bool "primary end state (registers + memory)" true
-    (Dts_isa.State.equal sta stb)
-
-(* -------- full DTSVLIW machine, both paths, Stats included -------- *)
-
-let machine_end ?(budget = 30_000) program fastpath =
-  let m =
-    Dts_core.Machine.create ~fastpath (Dts_core.Config.ideal ()) program
-  in
-  let n = Dts_core.Machine.run ~max_instructions:budget m in
-  (n, m)
-
-let check_machine_equivalence ?budget program =
-  let na, ma = machine_end ?budget program true in
-  let nb, mb = machine_end ?budget program false in
-  check_int "machine sequential instructions" nb na;
-  check_string "machine Stats snapshot"
-    (Dts_obs.Stats.to_json_string (Dts_core.Machine.stats mb))
-    (Dts_obs.Stats.to_json_string (Dts_core.Machine.stats ma));
-  check_bool "machine end state (registers + memory)" true
-    (Dts_isa.State.equal ma.Dts_core.Machine.st mb.Dts_core.Machine.st)
-
-(* -------- the suite: 8 workloads + the checked-in fuzz corpus -------- *)
+let check_golden_vs_boxed ?(budget = 200_000) program =
+  let a = Dts_asm.Program.boot program in
+  ignore
+    (Dts_golden.Golden.run ~max_instructions:budget
+       (Dts_golden.Golden.of_state a));
+  let b = Dts_asm.Program.boot program in
+  Dts_fuzz.Diff.run_boxed b ~fuel:budget;
+  check_int "instret" b.Dts_isa.State.instret a.Dts_isa.State.instret;
+  check_int "traps" b.Dts_isa.State.traps a.Dts_isa.State.traps;
+  check_bool "halted flag" b.Dts_isa.State.halted a.Dts_isa.State.halted;
+  check_bool "end state (registers + memory)" true (Dts_isa.State.equal a b)
 
 let test_workload name () =
-  let program =
-    Dts_workloads.Workloads.program ~scale:1
-      (Dts_workloads.Workloads.find name)
-  in
-  check_golden_equivalence program;
-  check_primary_equivalence program;
-  check_machine_equivalence program
+  check_golden_vs_boxed
+    (Dts_workloads.Workloads.program ~scale:1
+       (Dts_workloads.Workloads.find name))
 
 (* cwd is test/ under `dune runtest`, the repo root when run by hand *)
 let corpus_dir =
@@ -114,14 +50,11 @@ let test_fuzz_corpus () =
   check_bool "corpus is non-empty" true (files <> []);
   List.iter
     (fun f ->
-      let program = Dts_fuzz.Repro.load (Filename.concat corpus_dir f) in
       (* reproducers halt within the generator's fuel bound; run to halt *)
-      let budget =
-        Dts_fuzz.Gen.dynamic_bound ~max_insns:Dts_fuzz.Gen.default_max_insns
-      in
-      check_golden_equivalence ~budget program;
-      check_primary_equivalence ~budget program;
-      check_machine_equivalence ~budget program)
+      check_golden_vs_boxed
+        ~budget:
+          (Dts_fuzz.Gen.dynamic_bound ~max_insns:Dts_fuzz.Gen.default_max_insns)
+        (Dts_fuzz.Repro.load (Filename.concat corpus_dir f)))
     files
 
 let suite =

@@ -290,36 +290,31 @@ start:  mov 1, %o0
         xor %o1, 3, %o2
         halt
 |} in
-  let check_path fastpath =
-    let icache =
-      Dts_mem.Cache.create ~size_bytes:256 ~line_bytes:16 ~assoc:1
-        ~miss_penalty:6
-    in
-    let program = Dts_asm.Assembler.assemble src in
-    let st = Dts_asm.Program.boot program in
-    let p =
-      Dts_primary.Primary.create ~fastpath ~icache
-        ~dcache:(Dts_mem.Cache.perfect ()) st
-    in
-    let cycles = ref 0 and retired = ref 0 in
-    (try
-       while true do
-         let r = Dts_primary.Primary.step p in
-         cycles := !cycles + r.Dts_primary.Primary.cycles;
-         incr retired
-       done
-     with Dts_primary.Primary.Halted -> ());
-    (* the sum of per-retirement cycles is the total — nothing vanished *)
-    check_int "cycles = sum of retirement records" !cycles
-      (Dts_primary.Primary.total_cycles p);
-    (* halt retired architecturally... *)
-    check_int "instret counts halt" (!retired + 1) st.Dts_isa.State.instret;
-    (* ...but its fetch moved no cache counter: one access per record *)
-    check_int "icache accesses = retirement records" !retired
-      (Dts_mem.Cache.hits icache + Dts_mem.Cache.misses icache)
+  let icache =
+    Dts_mem.Cache.create ~size_bytes:256 ~line_bytes:16 ~assoc:1
+      ~miss_penalty:6
   in
-  check_path true;
-  check_path false
+  let program = Dts_asm.Assembler.assemble src in
+  let st = Dts_asm.Program.boot program in
+  let p =
+    Dts_primary.Primary.create ~icache ~dcache:(Dts_mem.Cache.perfect ()) st
+  in
+  let cycles = ref 0 and retired = ref 0 in
+  (try
+     while true do
+       let r = Dts_primary.Primary.step p in
+       cycles := !cycles + r.Dts_primary.Primary.cycles;
+       incr retired
+     done
+   with Dts_primary.Primary.Halted -> ());
+  (* the sum of per-retirement cycles is the total — nothing vanished *)
+  check_int "cycles = sum of retirement records" !cycles
+    (Dts_primary.Primary.total_cycles p);
+  (* halt retired architecturally... *)
+  check_int "instret counts halt" (!retired + 1) st.Dts_isa.State.instret;
+  (* ...but its fetch moved no cache counter: one access per record *)
+  check_int "icache accesses = retirement records" !retired
+    (Dts_mem.Cache.hits icache + Dts_mem.Cache.misses icache)
 
 let suite =
   [

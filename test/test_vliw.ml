@@ -1,4 +1,5 @@
-(* Direct unit tests of the VLIW Engine: hand-built blocks exercising tag
+(* Direct unit tests of the VLIW Engine: hand-built blocks, compiled into
+   plans and executed as the machine executes them, exercising tag
    validation, misprediction, copy commit, deferred exceptions, window
    shifts and the aliasing detector — without the Scheduler Unit in the
    loop. *)
@@ -58,6 +59,10 @@ let fresh_engine ?(nwindows = 8) () =
   let dcache = Dts_mem.Cache.perfect () in
   (st, Dts_vliw.Engine.create ~dcache st)
 
+(* enter [b] the way the machine does: through its compiled plan *)
+let enter e b =
+  Dts_vliw.Engine.enter_plan e (Dts_vliw.Plan.compile ~nwindows:8 b)
+
 let alu ?(cc = false) op rs1 op2 rd =
   Dts_isa.Instr.Alu { op; cc; rs1; op2; rd }
 
@@ -80,7 +85,7 @@ let test_parallel_reads_pre_state () =
   (* note: the scheduler would never build this (anti deps), but the engine
      semantics are read-all-then-write-all, which is what renaming relies on *)
   let b = block_of [ li ] in
-  Dts_vliw.Engine.enter_block e b;
+  enter e b;
   (match Dts_vliw.Engine.exec_li e b 0 with
   | R_block_end { next_addr }, _ -> check_int "nba" 0x2000 next_addr
   | _ -> Alcotest.fail "expected block end");
@@ -101,7 +106,7 @@ let test_renamed_write_and_copy () =
     Copy { c_moves = [ (rr, T_arch (Dts_isa.Storage.Int_reg p2)) ]; c_order = -1; c_from = 0 }
   in
   let b = block_of [ li_of [ (Op op, 0) ]; li_of [ (copy, 0) ] ] in
-  Dts_vliw.Engine.enter_block e b;
+  enter e b;
   ignore (Dts_vliw.Engine.exec_li e b 0);
   check_int "arch r2 untouched after renamed write" 0 (vis st 2);
   ignore (Dts_vliw.Engine.exec_li e b 1);
@@ -122,7 +127,7 @@ let test_forwarded_source () =
       ~subs:[ (Dts_isa.Storage.Int_reg p2, rr) ]
   in
   let b = block_of [ li_of [ (Op producer, 0) ]; li_of [ (Op consumer, 0) ] ] in
-  Dts_vliw.Engine.enter_block e b;
+  enter e b;
   ignore (Dts_vliw.Engine.exec_li e b 0);
   ignore (Dts_vliw.Engine.exec_li e b 1);
   check_int "consumer read the renamed value" 106 (vis st 3)
@@ -147,7 +152,7 @@ let test_correct_prediction_commits_gated_ops () =
           ];
       ]
   in
-  Dts_vliw.Engine.enter_block e b;
+  enter e b;
   (match Dts_vliw.Engine.exec_li e b 0 with
   | R_block_end _, _ -> ()
   | _ -> Alcotest.fail "expected clean block end");
@@ -168,7 +173,7 @@ let test_mispredict_annuls_gated_ops () =
           ];
       ]
   in
-  Dts_vliw.Engine.enter_block e b;
+  enter e b;
   (match Dts_vliw.Engine.exec_li e b 0 with
   | R_redirect { target }, _ -> check_int "actual fallthrough" 0x1004 target
   | _ -> Alcotest.fail "expected redirect");
@@ -193,7 +198,7 @@ let test_deferred_exception_via_copy () =
     Copy { c_moves = [ (rr, T_arch (Dts_isa.Storage.Int_reg p3)) ]; c_order = -1; c_from = 0 }
   in
   let b = block_of [ li_of [ (Op ld, 0) ]; li_of [ (copy, 0) ] ] in
-  Dts_vliw.Engine.enter_block e b;
+  enter e b;
   (match Dts_vliw.Engine.exec_li e b 0 with
   | R_next, _ -> ()
   | _ -> Alcotest.fail "speculative fault must be deferred");
@@ -210,7 +215,7 @@ let test_unrenamed_trap_is_immediate () =
       (Dts_isa.Instr.Load { size = Lw; rs1 = 1; op2 = Imm 0; rd = 3 })
   in
   let b = block_of [ li_of [ (Op ld, 0) ] ] in
-  Dts_vliw.Engine.enter_block e b;
+  enter e b;
   match Dts_vliw.Engine.exec_li e b 0 with
   | R_exn (E_trap (Dts_isa.Semantics.Misaligned _)), _ -> ()
   | _ -> Alcotest.fail "unrenamed fault must abort the block"
@@ -228,7 +233,7 @@ let test_rollback_restores_registers_and_memory () =
   in
   let w = sop ~addr:0x1004 (alu Or 0 (Imm 99) 5) in
   let b = block_of [ li_of [ (Op store, 0); (Op w, 0) ] ] in
-  Dts_vliw.Engine.enter_block e b;
+  enter e b;
   ignore (Dts_vliw.Engine.exec_li e b 0);
   check_int "store applied" 111 (Dts_mem.Memory.read st.mem ~addr:0x5000 ~size:4 ~signed:true);
   check_int "reg applied" 99 (vis st 5);
@@ -247,7 +252,7 @@ let test_window_shifted_replay () =
   let b = block_of ~entry_cwp:0 [ li_of [ (Op op, 0) ] ] in
   st.cwp <- 5;
   Dts_isa.State.set_reg st ~cwp:5 14 0;
-  Dts_vliw.Engine.enter_block e b;
+  enter e b;
   ignore (Dts_vliw.Engine.exec_li e b 0);
   check_int "l0 of the current window" 77 (Dts_isa.State.get_reg st ~cwp:5 16);
   check_int "window 0's l0 untouched" 0 (Dts_isa.State.get_reg st ~cwp:0 16)
@@ -269,7 +274,7 @@ let test_aliasing_store_then_hoisted_load () =
       (Dts_isa.Instr.Store { size = Sw; rs = 2; rs1 = 1; op2 = Imm 0 })
   in
   let b = block_of [ li_of [ (Op ld, 0) ]; li_of [ (Op store, 0) ] ] in
-  Dts_vliw.Engine.enter_block e b;
+  enter e b;
   ignore (Dts_vliw.Engine.exec_li e b 0);
   (match Dts_vliw.Engine.exec_li e b 1 with
   | R_exn E_aliasing, _ -> ()
@@ -289,7 +294,7 @@ let test_no_aliasing_when_disjoint () =
       (Dts_isa.Instr.Store { size = Sw; rs = 2; rs1 = 1; op2 = Imm 0 })
   in
   let b = block_of [ li_of [ (Op ld, 0) ]; li_of [ (Op store, 0) ] ] in
-  Dts_vliw.Engine.enter_block e b;
+  enter e b;
   (match Dts_vliw.Engine.exec_li e b 0 with R_next, _ -> () | _ -> Alcotest.fail "next");
   match Dts_vliw.Engine.exec_li e b 1 with
   | R_block_end _, _ -> ()
@@ -309,7 +314,7 @@ let test_in_order_same_address_ok () =
   in
   Dts_isa.State.set_reg st ~cwp:0 2 123;
   let b = block_of [ li_of [ (Op store, 0) ]; li_of [ (Op ld, 0) ] ] in
-  Dts_vliw.Engine.enter_block e b;
+  enter e b;
   ignore (Dts_vliw.Engine.exec_li e b 0);
   (match Dts_vliw.Engine.exec_li e b 1 with
   | R_block_end _, _ -> ()
